@@ -15,6 +15,10 @@ Subcommands:
   successive-conditional check and reports per-statistic verdicts.
 * validate: named verification suites; exit status 1 iff any suite fails.
 
+A RuntimeError or ValueError raised by a command (say, a chain that entered a
+state the data rule out) ends it with one ``nbibp: error: ...`` line on
+stderr and exit status 2, never a traceback.
+
 Every stochastic command requires an explicit --seed and is a pure function
 of its flags: rerunning with the same flags produces byte-identical output.
 Replicates fan out over per-replicate substreams keyed (seed, replicate), so
@@ -370,7 +374,11 @@ def main(argv=None):
     p.set_defaults(fn=cmd_validate)
 
     args = top.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (RuntimeError, ValueError) as exc:
+        print(f"nbibp: error: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

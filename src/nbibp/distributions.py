@@ -357,7 +357,9 @@ def _bnb_damped_remainder(x, y, r, coefs_rev):
         return 0.0
     damp = r * math.log1p(-x)
     if y > 0.8:
-        partial = float(np.polyval(coefs_rev, y))
+        partial = 0.0
+        for coef in coefs_rev:  # Horner, as np.polyval, without its per-step overhead
+            partial = partial * y + coef
         return math.exp(damp - r * math.log1p(-y)) - math.exp(damp) * partial
     log_first = (
         log_rising_factorial(r, Z + 1) - math.lgamma(Z + 2) + (Z + 1) * math.log(y)
@@ -392,7 +394,7 @@ def _bnb_weighted_mass(params, t):
         if bound < 1e-14:
             return head
     emt = math.exp(-t)
-    coefs_rev = np.exp(log_u)[::-1]
+    coefs_rev = np.exp(log_u)[::-1].tolist()
 
     def damped_remainder(x):
         return _bnb_damped_remainder(x, x * emt, r, coefs_rev)

@@ -13,6 +13,13 @@ Theta draw via multinomial allocation, an exact gamma draw for T, slice
 updates for c and r, and an optional uniform column shuffle.  Rejected
 proposals leave everything but the stream position untouched.
 
+At rest the chain holds W as a validated FeatureArray.  Within a sweep the
+entry and singleton passes run on an int64 n-by-kappa copy of W with its
+column sums, and W is rebuilt from it once, after both passes, if a move was
+accepted.  update_entry and update_singletons are single-move adapters over
+the same private kernels.  update_theta splits every positive count in one
+multinomial call.
+
 A model built with y=None has a constant likelihood: every acceptance ratio
 is one and Theta reverts to its prior.  The chain then targets the prior
 itself, which is how the prior-invariance harnesses drive these kernels.
@@ -72,6 +79,7 @@ class PoissonFactorModel:
             if (y < 0).any():
                 raise ValueError("y entries must be >= 0")
             self.y = y
+            self._log_fact = gammaln(y + 1.0)
             self.n, self.V = y.shape
         if self.n < 1 or self.V < 1:
             raise ValueError(f"model needs n, V >= 1, got n={self.n}, V={self.V}")
@@ -88,11 +96,13 @@ class PoissonFactorModel:
         rates = w @ theta if w.size else np.zeros(self.V)
         ys = self.y[i]
         dead = rates <= 0.0
+        if not dead.any():
+            return float((ys * np.log(rates) - rates - self._log_fact[i]).sum())
         if np.any(dead & (ys > 0)):
             return -math.inf
-        lam = rates[~dead]
-        yy = ys[~dead]
-        return float(np.sum(yy * np.log(lam) - lam - gammaln(yy + 1.0)))
+        live = ~dead
+        lam = rates[live]
+        return float((ys[live] * np.log(lam) - lam - self._log_fact[i][live]).sum())
 
     def loglik(self, w_mat, theta):
         if self.y is None:
@@ -205,10 +215,6 @@ def log_joint(state, model):
     return lp + ll
 
 
-def _row_values(arr, i):
-    return np.array([col[i] for col in arr.columns], dtype=np.float64)
-
-
 def _accept(delta_new, delta_old, rng):
     """MH accept/reject on a log-likelihood pair, tolerating -inf states."""
     if delta_new == -math.inf:
@@ -219,84 +225,97 @@ def _accept(delta_new, delta_old, rng):
     return d >= 0.0 or rng.uniform() < math.exp(d)
 
 
-def update_entry(state, model, i, j):
-    """MH refresh of W[i, j] for a column some other row also expresses.
+def _entry_move(state, model, M, sums, i, j):
+    """MH refresh of M[i, j] in place, column sums kept current; True on accept.
 
     The proposal is the exact conditional of the entry under the array prior
     given everything else, so the acceptance ratio is the likelihood ratio
-    alone.
+    alone.  Column j must be expressed by some row other than i.
     """
-    W, hp = state.W, state.hp
-    col = W.columns[j]
-    s_minus = sum(col) - col[i]
-    if s_minus < 1:
-        raise ValueError(
-            f"entry ({i}, {j}) is a singleton of its row; the birth/death move owns it"
-        )
+    hp = state.hp
+    old = M[i, j]
     prop = bnb_sample(
-        BnbParams(hp.r, float(s_minus), hp.c + (W.n - 1) * hp.r), state.rng
+        BnbParams(hp.r, float(sums[j] - old), hp.c + (M.shape[0] - 1) * hp.r), state.rng
     )
-    if prop == col[i]:
-        return state
-    w_old = _row_values(W, i)
+    if prop == old:
+        return False
+    w_old = M[i].astype(np.float64)
     w_new = w_old.copy()
     w_new[j] = prop
-    if _accept(
+    if not _accept(
         model.row_loglik(i, w_new, state.Theta),
         model.row_loglik(i, w_old, state.Theta),
         state.rng,
     ):
-        new_col = col[:i] + (prop,) + col[i + 1 :]
-        state.W = FeatureArray(W.n, W.columns[:j] + (new_col,) + W.columns[j + 1 :])
-    return state
+        return False
+    M[i, j] = prop
+    sums[j] += prop - old
+    return True
 
 
-def update_singletons(state, model, i):
-    """Birth/death of row i's private features.
+def _singleton_move(state, model, M, sums, i):
+    """Birth/death of row i's private columns; the new (M, sums) on accept,
+    None when the state is unchanged.
 
     Proposes dropping every column only row i expresses and birthing a
     Poisson(c T [psi(c+nr) - psi(c+(n-1)r)]) batch of fresh ones at uniform
     slots, masses from the digamma law and factor rows from the prior; prior
-    and proposal terms cancel, leaving the likelihood ratio of row i.
+    and proposal terms cancel, leaving the likelihood ratio of row i.  With no
+    birth and nothing private the proposal is the current state, which is
+    accepted without a draw, so the move returns at once.
     """
-    W, hp, rng = state.W, state.hp, state.rng
-    n = W.n
-    keep = [j for j, col in enumerate(W.columns) if sum(col) > col[i] or col[i] == 0]
+    hp, rng = state.hp, state.rng
+    n = M.shape[0]
+    row = M[i]
+    private = (row > 0) & (sums == row)
     theta_tail = hp.c + (n - 1) * hp.r
     born = rng.poisson(hp.c * hp.T * harmonic_gap(hp.r, theta_tail))
+    if born == 0 and not private.any():
+        return None
     mass_law = DigammaParams(hp.r, theta_tail)
     masses = [digamma_sample(mass_law, rng) for _ in range(born)]
-    kappa_star = len(keep) + born
-    slots = set(rng.choose(kappa_star, born).tolist()) if born else set()
+    keep = np.flatnonzero(~private)
+    kappa_star = keep.size + born
+    fresh = np.zeros(kappa_star, dtype=bool)
+    new_M = np.zeros((n, kappa_star), dtype=np.int64)
+    new_theta = np.empty((kappa_star, model.V))
     if born:
-        block = rng.gamma_array(
+        fresh[rng.choose(kappa_star, born)] = True
+        new_M[i, fresh] = masses
+        new_theta[fresh] = rng.gamma_array(
             np.full((born, model.V), model.a_theta), 1.0 / model.b_theta
         )
-    else:
-        block = np.zeros((0, model.V))
-
-    cols, theta_rows = [], []
-    kept_iter = iter(keep)
-    fresh = 0
-    for slot in range(kappa_star):
-        if slot in slots:
-            cols.append(tuple(masses[fresh] if t == i else 0 for t in range(n)))
-            theta_rows.append(block[fresh])
-            fresh += 1
-        else:
-            j = next(kept_iter)
-            cols.append(W.columns[j])
-            theta_rows.append(state.Theta[j])
-    new_theta = np.array(theta_rows, dtype=np.float64).reshape(kappa_star, model.V)
-    new_W = FeatureArray(n, tuple(cols))
-
-    if _accept(
-        model.row_loglik(i, _row_values(new_W, i), new_theta),
-        model.row_loglik(i, _row_values(W, i), state.Theta),
+    new_M[:, ~fresh] = M[:, keep]
+    new_theta[~fresh] = state.Theta[keep]
+    if not _accept(
+        model.row_loglik(i, new_M[i].astype(np.float64), new_theta),
+        model.row_loglik(i, row.astype(np.float64), state.Theta),
         rng,
     ):
-        state.W = new_W
-        state.Theta = new_theta
+        return None
+    state.Theta = new_theta
+    return new_M, new_M.sum(axis=0)
+
+
+def update_entry(state, model, i, j):
+    """MH refresh of W[i, j] for a column some other row also expresses."""
+    M = state.W.to_matrix()
+    sums = M.sum(axis=0)
+    if sums[j] - M[i, j] < 1:
+        raise ValueError(
+            f"entry ({i}, {j}) is a singleton of its row; the birth/death move owns it"
+        )
+    if _entry_move(state, model, M, sums, i, j):
+        state.W = FeatureArray.from_matrix(M)
+    return state
+
+
+def update_singletons(state, model, i):
+    """Birth/death of row i's private features (see _singleton_move)."""
+    M = state.W.to_matrix()
+    out = _singleton_move(state, model, M, M.sum(axis=0), i)
+    if out is not None:
+        state.W = FeatureArray.from_matrix(out[0])
     return state
 
 
@@ -304,8 +323,9 @@ def update_theta(state, model):
     """Conjugate factor refresh through latent count allocation.
 
     Each observed count splits multinomially across features in proportion to
-    W_{ij} Theta_{jv}; given the split, factor entries are gamma.  With no
-    data the draw is the plain prior.
+    W_{ij} Theta_{jv}; given the split, factor entries are gamma.  All cells
+    with a positive count are split in one multinomial call, in row-major
+    order.  With no data the draw is the plain prior.
     """
     kappa = state.W.kappa
     if kappa < 1:
@@ -317,19 +337,22 @@ def update_theta(state, model):
         )
         return state
     w_mat = state.W.to_matrix().astype(np.float64)
-    alloc = np.zeros((kappa, model.V))
-    for i in range(model.n):
-        for v in range(model.V):
-            yiv = int(model.y[i, v])
-            if yiv == 0:
-                continue
-            weights = w_mat[i] * state.Theta[:, v]
-            total = weights.sum()
-            if total <= 0.0:
-                raise RuntimeError(
-                    f"count y[{i},{v}]={yiv} has zero rate; the chain entered an impossible state"
-                )
-            alloc[:, v] += rng.multinomial(yiv, weights / total)
+    rows, cols = np.nonzero(model.y)
+    counts = model.y[rows, cols]
+    weights = w_mat[rows] * state.Theta.T[cols]
+    total = weights.sum(axis=1)
+    dead = total <= 0.0
+    if dead.any():
+        k = int(np.argmax(dead))
+        raise RuntimeError(
+            f"count y[{rows[k]},{cols[k]}]={counts[k]} has zero rate; "
+            "the chain entered an impossible state"
+        )
+    draws = rng.multinomial(counts, weights / total[:, None])
+    # alloc[j, v] = sum of draws[:, j] over the cells in column v
+    slot = np.arange(kappa) * model.V + cols[:, None]
+    alloc = np.bincount(slot.ravel(), weights=draws.ravel(), minlength=kappa * model.V)
+    alloc = alloc.reshape(kappa, model.V)
     shape = model.a_theta + alloc
     rate = model.b_theta + w_mat.sum(axis=0)[:, None]
     state.Theta = rng.gamma_array(shape, 1.0 / rate)
@@ -425,16 +448,28 @@ def shuffle_columns(state):
 
 def sweep_once(state, model, config=ChainConfig()):
     """One full kernel pass in the fixed order: all non-singleton entries
-    row-major, the per-row singleton move, Theta, T, c, r, optional shuffle."""
-    if config.entries:
-        for i in range(model.n):
-            for j in range(state.W.kappa):
-                col = state.W.columns[j]
-                if sum(col) - col[i] > 0:
-                    update_entry(state, model, i, j)
-    if config.singletons:
-        for i in range(model.n):
-            update_singletons(state, model, i)
+    row-major, the per-row singleton move, Theta, T, c, r, optional shuffle.
+
+    The entry and singleton passes run on an int64 copy of W and its column
+    sums; W is rebuilt (and validated) once after them, if anything moved.
+    """
+    if config.entries or config.singletons:
+        M = state.W.to_matrix()
+        sums = M.sum(axis=0)
+        moved = False
+        if config.entries:
+            for i in range(model.n):
+                for j in range(M.shape[1]):
+                    if sums[j] > M[i, j]:
+                        moved = _entry_move(state, model, M, sums, i, j) or moved
+        if config.singletons:
+            for i in range(model.n):
+                out = _singleton_move(state, model, M, sums, i)
+                if out is not None:
+                    M, sums = out
+                    moved = True
+        if moved:
+            state.W = FeatureArray.from_matrix(M)
     if config.theta and state.W.kappa:
         update_theta(state, model)
     if config.mass:

@@ -261,6 +261,30 @@ class TestInfer:
         assert code == 1 and all("FAIL" in ln for ln in lines)
 
 
+class TestErrorBoundary:
+    def test_infer_exits_0_or_2_with_one_line(self, capsys):
+        # a cold start can leave a counted row without features; such runs
+        # must end with one error line and status 2, never a traceback
+        for seed in range(1, 41):
+            code = cli.main(
+                ["infer", "--synthetic", "--n", "5", "--V", "3",
+                 "--sweeps", "20", "--seed", str(seed)]
+            )
+            err = capsys.readouterr().err.splitlines()
+            assert code in (0, 2), seed
+            if code == 2:
+                assert len(err) == 1 and err[0].startswith("nbibp: error: "), seed
+            else:
+                assert err == [], seed
+
+    def test_entry_point_has_no_traceback(self, tmp_path):
+        path = tmp_path / "y.txt"
+        path.write_text("1 -2\n0 3\n")
+        out = run_cli("infer", "--in", str(path), "--sweeps", "2", "--seed", "1")
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == ["nbibp: error: y entries must be >= 0"]
+
+
 class TestValidate:
     def test_none_reports_pass(self, capsys):
         code, lines = run_main(capsys, "validate", "--suite", "none")

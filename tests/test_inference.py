@@ -17,6 +17,7 @@ from nbibp.inference import (
     prior_state,
     resample_counts,
     run_chain,
+    sweep_once,
     update_c_r,
     update_entry,
     update_mass_T,
@@ -35,6 +36,40 @@ def flat_state(W, hp, seed, V=1):
 
 def poisson_pmf(k, lam):
     return math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
+
+
+def theta_reference(state, model):
+    """The per-cell allocation loop that update_theta vectorises, kept as its
+    oracle: one multinomial call per positive count, in row-major order."""
+    w_mat = state.W.to_matrix().astype(np.float64)
+    alloc = np.zeros((state.W.kappa, model.V))
+    for i in range(model.n):
+        for v in range(model.V):
+            yiv = int(model.y[i, v])
+            if yiv == 0:
+                continue
+            weights = w_mat[i] * state.Theta[:, v]
+            total = weights.sum()
+            if total <= 0.0:
+                raise RuntimeError(
+                    f"count y[{i},{v}]={yiv} has zero rate; the chain entered an impossible state"
+                )
+            alloc[:, v] += state.rng.multinomial(yiv, weights / total)
+    shape = model.a_theta + alloc
+    rate = model.b_theta + w_mat.sum(axis=0)[:, None]
+    return state.rng.gamma_array(shape, 1.0 / rate)
+
+
+def planted_state(n, V, K, seed, hp=Hyperparams(1.0, 1.0, 2.0)):
+    """A state at planted truth and its data: W has every column used,
+    Theta ~ Gamma(1, 1) and y ~ Poisson(W Theta)."""
+    g = np.random.default_rng(seed)
+    W = np.where(g.random((n, K)) < 0.3, 1 + g.poisson(1.0, (n, K)), 0)
+    for j in np.flatnonzero(W.sum(axis=0) == 0):
+        W[g.integers(n), j] = 1
+    theta = g.gamma(1.0, 1.0, (K, V))
+    state = ChainState(FeatureArray.from_matrix(W), theta, hp, (1.0, 1.0), RngStream(seed, 0))
+    return state, PoissonFactorModel(g.poisson(W @ theta))
 
 
 class TestModel:
@@ -268,6 +303,64 @@ class TestThetaKernel:
         for _ in range(50):
             update_theta(state, model)
             assert (state.Theta > 0.0).all()
+
+    def test_matches_scalar_loop(self):
+        state, model = planted_state(12, 7, 5, 131)
+        twin = state.snapshot()
+        twin.rng = RngStream(131, 0)
+        update_theta(state, model)
+        want = theta_reference(twin, model)
+        assert np.array_equal(state.Theta, want)
+        assert state.rng.uniform() == twin.rng.uniform()  # same stream position
+
+    def test_zero_row_with_zero_counts_draws_nothing(self):
+        hp = Hyperparams(1.0, 1.0, 1.0)
+        W = FeatureArray(3, ((2, 0, 1), (1, 0, 0)))  # row 1 expresses nothing
+        model = PoissonFactorModel([[3, 1], [0, 0], [0, 2]])
+        theta = np.array([[0.5, 2.0], [1.5, 0.3]])
+        state = ChainState(W, theta, hp, (1.0, 1.0), RngStream(132, 0))
+        twin = ChainState(W, theta.copy(), hp, (1.0, 1.0), RngStream(132, 0))
+        update_theta(state, model)
+        assert np.array_equal(state.Theta, theta_reference(twin, model))
+        assert state.rng.uniform() == twin.rng.uniform()
+
+    def test_zero_rate_error_names_first_cell(self):
+        hp = Hyperparams(1.0, 1.0, 1.0)
+        W = FeatureArray(3, ((2, 0, 0), (1, 0, 0)))  # rows 1 and 2 express nothing
+        model = PoissonFactorModel([[3, 1], [0, 4], [5, 2]])
+        theta = np.array([[0.5, 2.0], [1.5, 0.3]])
+        with pytest.raises(RuntimeError) as got:
+            update_theta(ChainState(W, theta, hp, (1.0, 1.0), RngStream(133, 0)), model)
+        with pytest.raises(RuntimeError) as want:
+            theta_reference(ChainState(W, theta, hp, (1.0, 1.0), RngStream(133, 0)), model)
+        assert str(got.value) == str(want.value)
+        assert "y[1,1]=4" in str(got.value)
+
+
+class TestSweepStructure:
+    def test_one_array_build_and_one_multinomial_per_sweep(self, monkeypatch):
+        # every kernel of the default configuration, c/r slice moves included;
+        # the optional shuffle, off by default, rebuilds its permuted array
+        state, model = planted_state(40, 15, 8, 134)
+        calls = Counter()
+        post_init = FeatureArray.__post_init__
+        multinomial = RngStream.multinomial
+
+        def counted_post_init(self):
+            calls["array"] += 1
+            post_init(self)
+
+        def counted_multinomial(self, n, pvals):
+            calls["multinomial"] += 1
+            return multinomial(self, n, pvals)
+
+        monkeypatch.setattr(FeatureArray, "__post_init__", counted_post_init)
+        monkeypatch.setattr(RngStream, "multinomial", counted_multinomial)
+        W = state.W
+        sweep_once(state, model, ChainConfig())
+        assert state.W is not W  # some move was accepted, so W was rebuilt
+        assert calls["array"] == 1
+        assert calls["multinomial"] == 1
 
 
 class TestMassKernel:
