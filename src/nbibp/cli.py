@@ -11,8 +11,7 @@ Subcommands:
   binomial count distributions, one integer per line plus a summary.
 * infer: MCMC on an n-by-V count matrix (--in, whitespace or JSON), or on
   synthetic data generated forward under the prior (--synthetic), writing one
-  chain record per emitted state; --geweke instead runs the forward vs
-  successive-conditional check and reports per-statistic verdicts.
+  chain record per emitted state.
 * validate: named verification suites; exit status 1 iff any suite fails.
 
 A RuntimeError or ValueError raised by a command (say, a chain that entered a
@@ -27,7 +26,6 @@ outputs are independent of any scheduling.
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -47,6 +45,7 @@ from .inference import (
     PoissonFactorModel,
     chain_record,
     prior_state,
+    resample_counts,
     run_chain,
 )
 from .numerics import RngStream
@@ -58,7 +57,7 @@ from .structures import (
     log_pmf_struct,
     struct_from_json,
 )
-from .validation import SUITES, run_suites, suite_geweke
+from .validation import SUITES, run_suites
 
 __all__ = ["main"]
 
@@ -209,7 +208,7 @@ def _load_counts(path):
     try:
         obj = json.loads(text)
         y = obj["y"] if isinstance(obj, dict) else obj
-        return np.asarray(y, dtype=np.int64)
+        return np.asarray(y)
     except (json.JSONDecodeError, KeyError, TypeError):
         pass
     rows = [
@@ -221,17 +220,6 @@ def _load_counts(path):
 
 
 def cmd_infer(args):
-    if args.geweke:
-        res = suite_geweke(seed=args.seed)
-        code = 0
-        for name in ("kappa", "total_count", "data_total", "T"):
-            m = res.metrics[name]
-            verdict = "pass" if abs(m["pull"]) <= 3.0 else "FAIL"
-            print(f"{name}: forward {m['forward']:.4f} chain {m['chain']:.4f} "
-                  f"pull {m['pull']:+.2f} {verdict}")
-            if verdict == "FAIL":
-                code = 1
-        return code
     if args.sweeps < 0:
         raise SystemExit("--sweeps must be >= 0")
     if args.thin < 1:
@@ -247,12 +235,7 @@ def cmd_infer(args):
             raise SystemExit("synthetic mode needs --n and --V >= 1")
         template = PoissonFactorModel(None, args.a_theta, args.b_theta, n=args.n, V=args.V)
         gen = prior_state(template, hp, t_prior, rng)
-        rates = (
-            gen.W.to_matrix().astype(float) @ gen.Theta
-            if gen.W.kappa
-            else np.zeros((args.n, args.V))
-        )
-        y = rng.poisson_array(rates)
+        y = resample_counts(gen, template, rng).y
         truth = {
             "kind": "truth",
             "W": [list(col) for col in gen.W.columns],
@@ -262,14 +245,10 @@ def cmd_infer(args):
     else:
         y = _load_counts(args.in_path)
     model = PoissonFactorModel(y, args.a_theta, args.b_theta)
-    c_prior = _parse_prior(args.c_prior, hp.c)
-    r_prior = _parse_prior(args.r_prior, hp.r)
     config = ChainConfig(
-        conc=c_prior.kind != "point",
-        shape=r_prior.kind != "point",
         thin=args.thin,
-        c_prior=c_prior,
-        r_prior=r_prior,
+        c_prior=_parse_prior(args.c_prior, hp.c),
+        r_prior=_parse_prior(args.r_prior, hp.r),
     )
     init = prior_state(model, hp, t_prior, rng)
     with _Out(args.out) as out:
@@ -359,7 +338,6 @@ def main(argv=None):
     p.add_argument("--thin", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--full", action="store_true", help="include W and Theta per record")
-    p.add_argument("--geweke", action="store_true", help="run the sampler correctness check")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_infer)
 

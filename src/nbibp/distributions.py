@@ -292,6 +292,21 @@ def _beta_weighted_integral(a, b, g, what):
     return total
 
 
+def _tail_sum(log_first, y, r, z):
+    """Sum of the series terms from index z on, where term z is exp(log_first)
+    and each next term is the last times y (r + z - 1) / z; stops once a term
+    no longer moves the total."""
+    if log_first < -700.0:
+        return 0.0
+    term = math.exp(log_first)
+    total = 0.0
+    while term > total * 1e-17 + 1e-320:
+        total += term
+        z += 1
+        term *= y * (r + z - 1) / z
+    return total
+
+
 def _log_series_remainder(y, zs, inv_zs):
     """R_Z(y) = sum over z > Z of y^z / z, for 0 <= y < 1."""
     Z = len(zs)
@@ -300,17 +315,8 @@ def _log_series_remainder(y, zs, inv_zs):
     if y > 0.8:
         partial = float(np.dot(np.power(y, zs), inv_zs))
         return -math.log1p(-y) - partial
-    log_first = (Z + 1) * math.log(y) - math.log(Z + 1)
-    if log_first < -700.0:
-        return 0.0
-    term = math.exp(log_first)
-    total = 0.0
-    z = Z + 1
-    while term > total * 1e-17 + 1e-320:
-        total += term
-        z += 1
-        term *= y * (z - 1) / z
-    return total
+    # r = 0.0 gives the ratio y (z - 1) / z, bit for bit
+    return _tail_sum((Z + 1) * math.log(y) - math.log(Z + 1), y, 0.0, Z + 1)
 
 
 def _digamma_weighted_mass(params, t):
@@ -364,16 +370,7 @@ def _bnb_damped_remainder(x, y, r, coefs_rev):
     log_first = (
         log_rising_factorial(r, Z + 1) - math.lgamma(Z + 2) + (Z + 1) * math.log(y)
     )
-    if log_first < -700.0:
-        return 0.0
-    term = math.exp(log_first)
-    total = 0.0
-    z = Z + 1
-    while term > total * 1e-17 + 1e-320:
-        total += term
-        z += 1
-        term *= y * (r + z - 1) / z
-    return math.exp(damp) * total
+    return math.exp(damp) * _tail_sum(log_first, y, r, Z + 1)
 
 
 def _bnb_weighted_mass(params, t):

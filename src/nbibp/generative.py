@@ -19,7 +19,6 @@ Three routes produce draws from the same law:
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from scipy.integrate import quad
@@ -35,9 +34,6 @@ from .numerics import harmonic_gap
 from .structures import FeatureArray
 
 __all__ = [
-    "AtomPosterior",
-    "PosteriorBase",
-    "posterior_hyper",
     "predictive_step",
     "nbibp_simulate",
     "bnbp_sample_finitary",
@@ -46,65 +42,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AtomPosterior:
-    """Posterior law of one seen atom's weight: Beta(count, c + n r) under
-    concentration c_n = c + count + n r."""
-
-    count: int
-    concentration: float
-    beta_shapes: tuple
-
-
-@dataclass(frozen=True)
-class PosteriorBase:
-    """The weight measure given n rows: per-atom beta laws plus the untouched
-    diffuse remainder, which is again of the prior form with concentration
-    c + n r and base mass c T / (c + n r)."""
-
-    atoms: tuple
-    unseen_concentration: float
-    unseen_mass: float
-
-
-def posterior_hyper(hp, counts, n):
-    """Conjugate update of the weight measure after n rows with per-feature
-    serving totals `counts`."""
-    if n != int(n) or n < 0:
-        raise ValueError(f"posterior_hyper needs integer n >= 0, got {n!r}")
-    n = int(n)
-    cnr = hp.c + n * hp.r
-    atoms = []
-    for s in counts:
-        if s != int(s) or s < 1:
-            raise ValueError(f"seen features need integer serving totals >= 1, got {s!r}")
-        s = int(s)
-        atoms.append(AtomPosterior(s, hp.c + s + n * hp.r, (float(s), cnr)))
-    return PosteriorBase(tuple(atoms), cnr, hp.c * hp.T / cnr)
-
-
 def predictive_step(arr, hp, rng):
     """Append one row drawn from the law of the next row given the array.
 
-    Existing columns receive BNB(r, S_k, c + m r) counts through the
-    posterior atom laws; fresh columns arrive Poisson-many with digamma
-    counts, in draw order after the existing columns.
+    Existing column k receives a BNB(r, S_k, c + m r) count; fresh columns
+    arrive Poisson(c T [psi(c + (m+1) r) - psi(c + m r)])-many with
+    digamma(r, c + m r) counts, in draw order after the existing columns.
     """
     if hp.fixed_atoms:
         raise ValueError("the sequential construction needs a diffuse base")
     m = arr.n
-    base = posterior_hyper(hp, arr.column_sums(), m)
-    grown = []
-    for col, atom in zip(arr.columns, base.atoms):
-        a, b = atom.beta_shapes
-        z = bnb_sample(BnbParams(hp.r, a, b), rng)
-        grown.append(col + (z,))
-    fresh_rate = (
-        base.unseen_concentration
-        * base.unseen_mass
-        * harmonic_gap(hp.r, base.unseen_concentration)
-    )
-    mass_law = DigammaParams(hp.r, base.unseen_concentration)
+    cnr = hp.c + m * hp.r
+    grown = [
+        col + (bnb_sample(BnbParams(hp.r, float(s), cnr), rng),)
+        for col, s in zip(arr.columns, arr.column_sums())
+    ]
+    # the leftover mass c T / (c + m r) scaled back up: this product can differ
+    # from c T in the last bit, and the Poisson draws depend on it
+    fresh_rate = cnr * (hp.c * hp.T / cnr) * harmonic_gap(hp.r, cnr)
+    mass_law = DigammaParams(hp.r, cnr)
     zeros = (0,) * m
     for _ in range(rng.poisson(fresh_rate)):
         grown.append(zeros + (digamma_sample(mass_law, rng),))

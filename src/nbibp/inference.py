@@ -73,7 +73,7 @@ class PoissonFactorModel:
             if y.ndim != 2:
                 raise ValueError(f"y must be a 2-d count matrix, got ndim={y.ndim}")
             if not np.issubdtype(y.dtype, np.integer):
-                if not np.all(y == np.floor(y)):
+                if y.dtype.kind not in "bf" or not np.all(np.isfinite(y) & (y == np.floor(y))):
                     raise ValueError("y entries must be integers")
             y = y.astype(np.int64)
             if (y < 0).any():
@@ -182,11 +182,11 @@ class HyperPrior:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Which kernels a sweep runs, thinning, and the c/r update setup."""
+    """Which optional kernels a sweep runs, thinning, and the c/r priors.
 
-    entries: bool = True
-    singletons: bool = True
-    theta: bool = True
+    The entry, singleton and Theta kernels always run.
+    """
+
     mass: bool = True
     conc: bool = True
     shape: bool = True
@@ -194,8 +194,6 @@ class ChainConfig:
     thin: int = 1
     c_prior: HyperPrior = HyperPrior()
     r_prior: HyperPrior = HyperPrior()
-    width_c: float = 1.0
-    width_r: float = 1.0
 
     def __post_init__(self):
         if self.thin != int(self.thin) or self.thin < 1:
@@ -402,35 +400,29 @@ def _slice_update(x0, log_target, width, rng, max_steps=1000):
     raise RuntimeError("slice shrinkage exhausted its iteration budget")
 
 
-def update_c_r(state, c_prior=HyperPrior(), r_prior=HyperPrior(), width_c=1.0, width_r=1.0):
-    """Slice updates of c then r against the array p.m.f. plus the prior.
+def update_c_r(state, c_prior=HyperPrior(), r_prior=HyperPrior()):
+    """Slice updates (unit width) of c then r against the array p.m.f. plus
+    the prior.
 
     A 'point' prior pins its parameter and skips the move.
     """
     hp = state.hp
-    if c_prior.kind != "point":
 
-        def target_c(c):
-            lp = c_prior.log_density(c)
+    def slice_move(x0, prior, hp_at):
+        if prior.kind == "point":
+            return x0
+
+        def target(x):
+            lp = prior.log_density(x)
             if lp == -math.inf:
                 return -math.inf
-            return lp + log_pmf_array(state.W, Hyperparams(hp.r, c, hp.T, hp.fixed_atoms))
+            return lp + log_pmf_array(state.W, hp_at(x))
 
-        hp = Hyperparams(
-            hp.r, _slice_update(hp.c, target_c, width_c, state.rng), hp.T, hp.fixed_atoms
-        )
-    if r_prior.kind != "point":
+        return _slice_update(x0, target, 1.0, state.rng)
 
-        def target_r(r):
-            lp = r_prior.log_density(r)
-            if lp == -math.inf:
-                return -math.inf
-            return lp + log_pmf_array(state.W, Hyperparams(r, hp.c, hp.T, hp.fixed_atoms))
-
-        hp = Hyperparams(
-            _slice_update(hp.r, target_r, width_r, state.rng), hp.c, hp.T, hp.fixed_atoms
-        )
-    state.hp = hp
+    c = slice_move(hp.c, c_prior, lambda c: Hyperparams(hp.r, c, hp.T, hp.fixed_atoms))
+    r = slice_move(hp.r, r_prior, lambda r: Hyperparams(r, c, hp.T, hp.fixed_atoms))
+    state.hp = Hyperparams(r, c, hp.T, hp.fixed_atoms)
     return state
 
 
@@ -453,31 +445,28 @@ def sweep_once(state, model, config=ChainConfig()):
     The entry and singleton passes run on an int64 copy of W and its column
     sums; W is rebuilt (and validated) once after them, if anything moved.
     """
-    if config.entries or config.singletons:
-        M = state.W.to_matrix()
-        sums = M.sum(axis=0)
-        moved = False
-        if config.entries:
-            for i in range(model.n):
-                for j in range(M.shape[1]):
-                    if sums[j] > M[i, j]:
-                        moved = _entry_move(state, model, M, sums, i, j) or moved
-        if config.singletons:
-            for i in range(model.n):
-                out = _singleton_move(state, model, M, sums, i)
-                if out is not None:
-                    M, sums = out
-                    moved = True
-        if moved:
-            state.W = FeatureArray.from_matrix(M)
-    if config.theta and state.W.kappa:
+    M = state.W.to_matrix()
+    sums = M.sum(axis=0)
+    moved = False
+    for i in range(model.n):
+        for j in range(M.shape[1]):
+            if sums[j] > M[i, j]:
+                moved = _entry_move(state, model, M, sums, i, j) or moved
+    for i in range(model.n):
+        out = _singleton_move(state, model, M, sums, i)
+        if out is not None:
+            M, sums = out
+            moved = True
+    if moved:
+        state.W = FeatureArray.from_matrix(M)
+    if state.W.kappa:
         update_theta(state, model)
     if config.mass:
         update_mass_T(state)
     if config.conc or config.shape:
         cp = config.c_prior if config.conc else HyperPrior("point", state.hp.c)
         rp = config.r_prior if config.shape else HyperPrior("point", state.hp.r)
-        update_c_r(state, cp, rp, config.width_c, config.width_r)
+        update_c_r(state, cp, rp)
     if config.shuffle:
         shuffle_columns(state)
     state.check()

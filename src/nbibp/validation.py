@@ -11,6 +11,7 @@ batch errors understate chain noise badly enough to flip verdicts (sweep
 autocorrelation times here run 30 to 40 sweeps).
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -199,10 +200,29 @@ def _struct_counter(draws):
 # ---------------------------------------------------------------------------
 # suites
 
+SUITES = {}
 
+
+def _suite(name):
+    """Register a suite under `name`.  The decorated function returns
+    (passed, metrics); the registered one times it and wraps a SuiteResult."""
+
+    def register(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            t0 = time.perf_counter()
+            passed, metrics = fn(*args, **kwargs)
+            return SuiteResult(name, passed, time.perf_counter() - t0, metrics)
+
+        SUITES[name] = run
+        return run
+
+    return register
+
+
+@_suite("digamma-identity")
 def suite_digamma_identity(seed=0):
     """pmf_digamma(z; r, t) = (t xi)^{-1} (z-1+r)/z pmf_bnb(z-1; r, 1, t)."""
-    t0 = time.time()
     worst = 0.0
     for r, th in _param_grid():
         dig = DigammaParams(r, th)
@@ -212,26 +232,22 @@ def suite_digamma_identity(seed=0):
             lhs = math.exp(digamma_log_pmf(dig, z))
             rhs = pref * (z - 1.0 + r) / z * math.exp(bnb_log_pmf(bnb, z - 1))
             worst = max(worst, abs(lhs - rhs))
-    return SuiteResult(
-        "digamma-identity", worst <= 1e-10, time.time() - t0, {"max_abs_err": worst}
-    )
+    return worst <= 1e-10, {"max_abs_err": worst}
 
 
+@_suite("normalization")
 def suite_normalization(seed=0):
     """Total p.m.f. mass equals 1 within 1e-10 across the parameter grid."""
-    t0 = time.time()
     worst = 0.0
     for r, th in _param_grid():
         worst = max(worst, abs(digamma_total_mass(DigammaParams(r, th)) - 1.0))
         worst = max(worst, abs(bnb_total_mass(BnbParams(r, 1.0, th)) - 1.0))
-    return SuiteResult(
-        "normalization", worst <= 1e-10, time.time() - t0, {"max_abs_err": worst}
-    )
+    return worst <= 1e-10, {"max_abs_err": worst}
 
 
+@_suite("rejection-sampler")
 def suite_rejection_sampler(seed=20, reps=100000):
     """Sampler matches its p.m.f. (chi-square) and its round-count budget."""
-    t0 = time.time()
     metrics = {}
     ok = True
     for idx, (r, th) in enumerate([(1.0, 1.0), (2.0, 1.0), (0.5, 3.0)]):
@@ -261,12 +277,12 @@ def suite_rejection_sampler(seed=20, reps=100000):
             "rounds_pull": pull,
         }
         ok = ok and pval > 0.001 and abs(pull) <= 3.0
-    return SuiteResult("rejection-sampler", ok, time.time() - t0, metrics)
+    return ok, metrics
 
 
+@_suite("simulator-pmf")
 def suite_simulator_pmf(seed=40, reps=100000):
     """Sequential draws at n=2 match the exact structure p.m.f."""
-    t0 = time.time()
     hp = Hyperparams(1.0, 1.0, 0.5)
     rng = RngStream(seed, 0)
     counts = _struct_counter(nbibp_simulate(2, hp, rng) for _ in range(reps))
@@ -275,17 +291,12 @@ def suite_simulator_pmf(seed=40, reps=100000):
     pval, cells, chi2 = gof_chi_square(
         counts, lambda key: math.exp(log_pmf_struct(struct_from_json(key), hp)), reps
     )
-    return SuiteResult(
-        "simulator-pmf",
-        pval > 0.001,
-        time.time() - t0,
-        {"p": pval, "cells": cells, "chi2": chi2, "reps": reps},
-    )
+    return pval > 0.001, {"p": pval, "cells": cells, "chi2": chi2, "reps": reps}
 
 
+@_suite("two-construction")
 def suite_two_construction(seed=50, reps=100000, epsilon=1e-4):
     """Buffet route and truncated weight-measure route agree in law."""
-    t0 = time.time()
     hp = Hyperparams(1.0, 1.0, 0.5)
     rng_a = RngStream(seed, 0)
     rng_b = RngStream(seed, 1)
@@ -294,17 +305,12 @@ def suite_two_construction(seed=50, reps=100000, epsilon=1e-4):
         truncated_oracle_simulate(2, hp, epsilon, rng_b) for _ in range(reps)
     )
     tv, cells = tail_aggregated_tv(ca, cb)
-    return SuiteResult(
-        "two-construction",
-        tv <= 0.02,
-        time.time() - t0,
-        {"tv": tv, "cells": cells, "epsilon": epsilon, "reps": reps},
-    )
+    return tv <= 0.02, {"tv": tv, "cells": cells, "epsilon": epsilon, "reps": reps}
 
 
+@_suite("exchangeability")
 def suite_exchangeability(seed=60, reps=40000):
     """Row order is immaterial, empirically and algebraically."""
-    t0 = time.time()
     hp = Hyperparams(1.0, 1.0, 1.0)
     perm = (2, 0, 1)
     rng_a = RngStream(seed, 0)
@@ -334,17 +340,15 @@ def suite_exchangeability(seed=60, reps=40000):
                 ),
             )
     pval, cells, chi2 = two_sample_chi_square(ca, cb)
-    return SuiteResult(
-        "exchangeability",
+    return (
         pval > 0.001 and worst <= 1e-12,
-        time.time() - t0,
         {"p": pval, "cells": cells, "chi2": chi2, "max_alg_err": worst, "perm": list(perm)},
     )
 
 
+@_suite("projection")
 def suite_projection(seed=70, reps=40000):
     """Dropping the last row of an (n+1)-row draw reproduces the n-row law."""
-    t0 = time.time()
     hp = Hyperparams(1.0, 1.0, 1.0)
     rng_a = RngStream(seed, 0)
     rng_b = RngStream(seed, 1)
@@ -361,18 +365,16 @@ def suite_projection(seed=70, reps=40000):
         and project(one, 1) == CombStruct(1, {(1,): 1})
         and project(one, 3) == one
     )
-    return SuiteResult(
-        "projection",
+    return (
         pval > 0.001 and deterministic,
-        time.time() - t0,
         {"p": pval, "cells": cells, "chi2": chi2, "deterministic": deterministic},
     )
 
 
+@_suite("expected-kappa")
 def suite_expected_kappa(seed=80, reps=20000):
     """E[number of features] = c T [psi(c + n r) - psi(c)], incl. the r=1
     harmonic-number case T (1 + 1/2 + ... + 1/n)."""
-    t0 = time.time()
     metrics = {}
     ok = True
     for idx, (r, c, T, n) in enumerate(
@@ -394,9 +396,10 @@ def suite_expected_kappa(seed=80, reps=20000):
             ok = ok and abs(want - harmonic) <= 1e-12
         metrics[f"r{r}_c{c}_T{T}_n{n}"] = entry
         ok = ok and abs(pull) <= 3.0
-    return SuiteResult("expected-kappa", ok, time.time() - t0, metrics)
+    return ok, metrics
 
 
+@_suite("prior-restoration")
 def suite_prior_restoration(seed=301, sweeps=10000, forward_reps=20000):
     """Flat-likelihood MCMC leaves the prior invariant at n=3, r=c=T=1.
 
@@ -404,7 +407,6 @@ def suite_prior_restoration(seed=301, sweeps=10000, forward_reps=20000):
     like z^{-2}), so its comparison is self-normalized: both sides estimate
     the same truncated functional and the pull stays calibrated.
     """
-    t0 = time.time()
     hp = Hyperparams(1.0, 1.0, 1.0)
     model = PoissonFactorModel(None, n=3, V=2)
     cfg = ChainConfig(mass=False, conc=False, shape=False)
@@ -433,42 +435,36 @@ def suite_prior_restoration(seed=301, sweeps=10000, forward_reps=20000):
     pw, mcw, mfw = pull_between(ws, fw)
     pv, mcv, mfv = pull_between((ks - ks.mean()) ** 2, (fk - fk.mean()) ** 2)
     ok = abs(pk) <= 3.0 and abs(pw) <= 3.0 and abs(pv) <= 3.0
-    return SuiteResult(
-        "prior-restoration",
-        ok,
-        time.time() - t0,
-        {
-            "kappa": {"chain": mck, "forward": mfk, "pull": pk},
-            "kappa_var": {"chain": mcv, "forward": mfv, "pull": pv},
-            "total_count": {"chain": mcw, "forward": mfw, "pull": pw},
-            "exact_kappa_mean": float(psi(4.0) - psi(1.0)),
-            "sweeps": sweeps,
-        },
-    )
+    return ok, {
+        "kappa": {"chain": mck, "forward": mfk, "pull": pk},
+        "kappa_var": {"chain": mcv, "forward": mfv, "pull": pv},
+        "total_count": {"chain": mcw, "forward": mfw, "pull": pw},
+        "exact_kappa_mean": float(psi(4.0) - psi(1.0)),
+        "sweeps": sweeps,
+    }
 
 
+@_suite("geweke")
 def suite_geweke(seed=223, iters=30000, forward_reps=12000):
     """Forward vs successive-conditional moments on the Poisson factor model.
 
     n=3, V=2, r=1, c=3 (c large enough for finite count variance), T under a
     Gamma(4,4) prior so the mass kernel is exercised; c and r stay pinned.
     """
-    t0 = time.time()
     hp = Hyperparams(1.0, 3.0, 1.0)
     t_prior = (4.0, 4.0)
     model = PoissonFactorModel(None, n=3, V=2)
     cfg = ChainConfig(mass=True, conc=False, shape=False)
+
+    def stats(st, m):
+        return st.W.kappa, sum(sum(c) for c in st.W.columns), int(m.y.sum()), st.hp.T
+
     rng_f = RngStream(seed, 1)
     F = np.empty((forward_reps, 4))
     for k in range(forward_reps):
         st = prior_state(model, hp, t_prior, rng_f, draw_T=True)
         m = resample_counts(st, model, rng_f)
-        F[k] = (
-            st.W.kappa,
-            sum(sum(c) for c in st.W.columns),
-            int(m.y.sum()),
-            st.hp.T,
-        )
+        F[k] = stats(st, m)
     rng_c = RngStream(seed, 2)
     state = prior_state(model, hp, t_prior, rng_c, draw_T=True)
     m = resample_counts(state, model, rng_c)
@@ -476,12 +472,7 @@ def suite_geweke(seed=223, iters=30000, forward_reps=12000):
     for k in range(iters):
         sweep_once(state, m, cfg)
         m = resample_counts(state, m, rng_c)
-        G[k] = (
-            state.W.kappa,
-            sum(sum(c) for c in state.W.columns),
-            int(m.y.sum()),
-            state.hp.T,
-        )
+        G[k] = stats(state, m)
     metrics = {}
     ok = True
     for t, nm in enumerate(["kappa", "total_count", "data_total", "T"]):
@@ -491,13 +482,13 @@ def suite_geweke(seed=223, iters=30000, forward_reps=12000):
         metrics[nm] = {"forward": mf, "chain": mc, "pull": pull}
         ok = ok and abs(pull) <= 3.0
     metrics["iters"] = iters
-    return SuiteResult("geweke", ok, time.time() - t0, metrics)
+    return ok, metrics
 
 
+@_suite("t-update")
 def suite_t_update(seed=0):
     """The mass conditional T^{alpha+kappa-1} e^{-(beta + c xi_n) T} normalizes
     to the gamma law the kernel draws from, settling its rate term."""
-    t0 = time.time()
     worst = 0.0
     for (r, c, n, kappa, alpha, beta) in [
         (1.0, 1.0, 3, 2, 1.0, 1.0),
@@ -518,24 +509,7 @@ def suite_t_update(seed=0):
         )
         norst = abs(val * rate ** shape / math.exp(gammaln(shape)) - 1.0)
         worst = max(worst, norst)
-    return SuiteResult(
-        "t-update", worst <= 1e-8, time.time() - t0, {"max_norm_err": worst}
-    )
-
-
-SUITES = {
-    "digamma-identity": suite_digamma_identity,
-    "normalization": suite_normalization,
-    "rejection-sampler": suite_rejection_sampler,
-    "simulator-pmf": suite_simulator_pmf,
-    "two-construction": suite_two_construction,
-    "exchangeability": suite_exchangeability,
-    "projection": suite_projection,
-    "expected-kappa": suite_expected_kappa,
-    "prior-restoration": suite_prior_restoration,
-    "geweke": suite_geweke,
-    "t-update": suite_t_update,
-}
+    return worst <= 1e-8, {"max_norm_err": worst}
 
 
 def run_suites(names=None, seed=None):

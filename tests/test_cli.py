@@ -233,33 +233,6 @@ class TestInfer:
             cli.main(["infer", "--in", str(path), "--synthetic", "--seed", "1"])
         capsys.readouterr()
 
-    def test_geweke_report_plumbing(self, capsys, monkeypatch):
-        fake = SuiteResult(
-            "geweke",
-            True,
-            1.0,
-            {
-                name: {"forward": 1.0, "chain": 1.01, "pull": 0.5}
-                for name in ("kappa", "total_count", "data_total", "T")
-            },
-        )
-        monkeypatch.setattr(cli, "suite_geweke", lambda seed=None: fake)
-        code, lines = run_main(capsys, "infer", "--geweke", "--seed", "1")
-        assert code == 0
-        assert len(lines) == 4 and all("pass" in ln for ln in lines)
-        bad = SuiteResult(
-            "geweke",
-            False,
-            1.0,
-            {
-                name: {"forward": 1.0, "chain": 2.0, "pull": 9.0}
-                for name in ("kappa", "total_count", "data_total", "T")
-            },
-        )
-        monkeypatch.setattr(cli, "suite_geweke", lambda seed=None: bad)
-        code, lines = run_main(capsys, "infer", "--geweke", "--seed", "1")
-        assert code == 1 and all("FAIL" in ln for ln in lines)
-
 
 class TestErrorBoundary:
     def test_infer_exits_0_or_2_with_one_line(self, capsys):
@@ -284,6 +257,16 @@ class TestErrorBoundary:
         assert out.returncode == 2
         assert out.stderr.splitlines() == ["nbibp: error: y entries must be >= 0"]
 
+    def test_json_counts_must_be_integers(self, tmp_path, capsys):
+        # JSON input reaches the model's integer check uncast, as text input does
+        path = tmp_path / "y.json"
+        path.write_text('{"y": [[1.5, 0], [0, 2]]}')
+        code = cli.main(["infer", "--in", str(path), "--sweeps", "2", "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "nbibp: error: y entries must be integers"
+        ]
+
 
 class TestValidate:
     def test_none_reports_pass(self, capsys):
@@ -300,6 +283,20 @@ class TestValidate:
         names = [json.loads(ln).get("name") for ln in lines[:-1]]
         assert names == ["digamma-identity", "t-update"]
         assert json.loads(lines[-1])["passed"] is True
+
+    def test_geweke_report_plumbing(self, capsys, monkeypatch):
+        # the verdict of `validate --suite geweke` sets the exit status
+        def fake(passed):
+            return lambda seed=None: SuiteResult("geweke", passed, 1.0, {"kappa": {"pull": 0.5}})
+
+        monkeypatch.setitem(cli.SUITES, "geweke", fake(True))
+        code, lines = run_main(capsys, "validate", "--suite", "geweke")
+        assert code == 0
+        assert json.loads(lines[0])["metrics"] == {"kappa": {"pull": 0.5}}
+        assert json.loads(lines[-1]) == {"kind": "report", "passed": True}
+        monkeypatch.setitem(cli.SUITES, "geweke", fake(False))
+        code, lines = run_main(capsys, "validate", "--suite", "geweke")
+        assert code == 1 and json.loads(lines[-1]) == {"kind": "report", "passed": False}
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

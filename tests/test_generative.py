@@ -4,13 +4,13 @@ from collections import Counter
 import pytest
 from scipy.integrate import quad
 
+from nbibp import generative
 from nbibp.distributions import bnb_mean, BnbParams, digamma_mean, DigammaParams
 from nbibp.generative import (
     _draw_weight,
     _weight_integrals,
     bnbp_sample_finitary,
     nbibp_simulate,
-    posterior_hyper,
     predictive_step,
     truncated_oracle_simulate,
     truncated_weight_mass,
@@ -24,30 +24,42 @@ def poisson_pmf(k, lam):
     return math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
 
 
-class TestPosteriorHyper:
-    def test_frozen_shapes(self):
+class TestPredictiveLaw:
+    """predictive_step's laws, read off the parameters it hands the samplers."""
+
+    @staticmethod
+    def laws(monkeypatch, arr, hp):
+        seen = {"bnb": [], "digamma": [], "poisson": []}
+        monkeypatch.setattr(
+            generative, "bnb_sample", lambda p, rng: seen["bnb"].append(p) or 0
+        )
+        monkeypatch.setattr(
+            generative, "digamma_sample", lambda p, rng: seen["digamma"].append(p) or 1
+        )
+
+        class TwoFresh:
+            def poisson(self, lam):
+                seen["poisson"].append(lam)
+                return 2
+
+        grown = predictive_step(arr, hp, TwoFresh())
+        assert grown.n == arr.n + 1 and grown.kappa == arr.kappa + 2
+        return seen
+
+    def test_old_dish_bnb_shapes(self, monkeypatch):
+        # m = 2 rows with serving totals S = (3, 1): BNB(r, S_k, c + m r)
         hp = Hyperparams(1.5, 2.0, 0.5)
-        base = posterior_hyper(hp, (3, 1), 2)
-        assert base.unseen_concentration == pytest.approx(5.0)
-        assert base.unseen_mass == pytest.approx(0.2)
-        a0, a1 = base.atoms
-        assert a0.count == 3 and a0.beta_shapes == (3.0, 5.0)
-        assert a0.concentration == pytest.approx(8.0)
-        assert a1.count == 1 and a1.beta_shapes == (1.0, 5.0)
+        seen = self.laws(monkeypatch, FeatureArray(2, ((2, 1), (0, 1))), hp)
+        assert seen["bnb"] == [BnbParams(1.5, 3.0, 5.0), BnbParams(1.5, 1.0, 5.0)]
+        assert seen["digamma"] == [DigammaParams(1.5, 5.0)] * 2
+        assert seen["poisson"] == [pytest.approx(2.0 * 0.5 * harmonic_gap(1.5, 5.0))]
 
-    def test_no_rows_recovers_prior(self):
+    def test_first_row_uses_prior_rate(self, monkeypatch):
         hp = Hyperparams(2.0, 3.0, 1.5)
-        base = posterior_hyper(hp, (), 0)
-        assert base.atoms == ()
-        assert base.unseen_concentration == pytest.approx(3.0)
-        assert base.unseen_mass == pytest.approx(1.5)
-
-    def test_validation(self):
-        hp = Hyperparams(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            posterior_hyper(hp, (0,), 1)
-        with pytest.raises(ValueError):
-            posterior_hyper(hp, (1,), -1)
+        seen = self.laws(monkeypatch, FeatureArray(0, ()), hp)
+        assert seen["bnb"] == []
+        assert seen["digamma"] == [DigammaParams(2.0, 3.0)] * 2
+        assert seen["poisson"] == [pytest.approx(3.0 * 1.5 * harmonic_gap(2.0, 3.0))]
 
 
 class TestBuffet:

@@ -1,8 +1,10 @@
-"""Random-stream pins: sha256 digests of three fixed-seed runs.
+"""Random-stream pins: sha256 digests of four fixed-seed runs.
 
-The digests were recorded before the sweep kernels moved onto an int64 count
+The chain and infer digests were recorded before the sweep kernels moved onto an int64 count
 matrix and Theta's allocation became one multinomial call.  That rewrite
 keeps every draw and every accept decision, so the digests must not move.
+The simulate digest was recorded before predictive_step stopped building
+per-atom posterior records; that rewrite keeps the same draws as well.
 A change that alters the stream on purpose declares it in CHANGES.md and
 re-records them here.
 """
@@ -27,6 +29,7 @@ from nbibp.structures import FeatureArray, Hyperparams
 RUN_CHAIN_SHA256 = "810c5230f50a3e565f54cdcb83a3dbd32b1135f0548d6bed487b06c5319ad409"
 GEWEKE_LOOP_SHA256 = "9dd043017c12eb8fe85e5aff32ccd8f6f3528373180fd358fc47baa4c070391e"
 INFER_FULL_SHA256 = "de38bde5fc36109c8bdfd185de01e1e3ffbc8c8fe14ced75b23c32bc9f646e03"
+SIMULATE_SHA256 = "049e43bc035188a3273ca3e90763fe5b2eca456f4814e2fa0a968cbb1e54f150"
 
 
 def _planted(n, V, K, seed):
@@ -72,11 +75,8 @@ def geweke_loop_digest(iters=500):
     return h.hexdigest()
 
 
-def infer_full_digest(capsys):
-    code = cli.main(
-        ["infer", "--synthetic", "--n", "5", "--V", "3", "--sweeps", "20", "--seed", "2", "--full"]
-    )
-    assert code == 0
+def stdout_digest(capsys, *argv):
+    assert cli.main(list(argv)) == 0
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
@@ -89,4 +89,17 @@ def test_geweke_loop_stream_pinned():
 
 
 def test_infer_full_output_pinned(capsys):
-    assert infer_full_digest(capsys) == INFER_FULL_SHA256
+    digest = stdout_digest(
+        capsys,
+        "infer", "--synthetic", "--n", "5", "--V", "3", "--sweeps", "20", "--seed", "2", "--full",
+    )
+    assert digest == INFER_FULL_SHA256
+
+
+def test_simulate_output_pinned(capsys):
+    digest = stdout_digest(
+        capsys,
+        "simulate", "--n", "4", "--r", "1.5", "--c", "2", "--mass-T", "2",
+        "--reps", "200", "--seed", "5",
+    )
+    assert digest == SIMULATE_SHA256
