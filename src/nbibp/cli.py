@@ -14,17 +14,18 @@ Subcommands:
   chain record per emitted state.
 * validate: named verification suites; exit status 1 iff any suite fails.
 
-A RuntimeError or ValueError raised by a command (say, a chain that entered a
-state the data rule out) ends it with one ``nbibp: error: ...`` line on
-stderr and exit status 2, never a traceback.
+A RuntimeError or ValueError raised by a command (say, a negative count in
+the input of infer) ends it with one ``nbibp: error: ...`` line on stderr and
+exit status 2, never a traceback.
 
 Every stochastic command requires an explicit --seed and is a pure function
 of its flags: rerunning with the same flags produces byte-identical output.
-Replicates fan out over per-replicate substreams keyed (seed, replicate), so
+Replicates fan out over per-replicate streams keyed (seed, replicate), so
 outputs are independent of any scheduling.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -66,34 +67,19 @@ def _dump(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-class _Out:
-    """Line sink for --out, stdout when no path is given."""
-
-    def __init__(self, path):
-        self.path = path
-        self.fh = None
-
-    def __enter__(self):
-        self.fh = open(self.path, "w") if self.path else sys.stdout
-        return self
-
-    def __exit__(self, *exc):
-        if self.path and self.fh is not None:
-            self.fh.close()
-        return False
-
-    def line(self, text):
-        self.fh.write(text + "\n")
+def _open_out(path):
+    """The --out file for writing, or stdout when no path is given."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _hyper(args):
     return Hyperparams(args.r, args.c, args.mass_T)
 
 
-def _parse_prior(text, fallback_value):
-    """'gamma:a,b' | 'lognormal:mu,sigma' | 'point' -> HyperPrior."""
+def _parse_prior(text):
+    """'gamma:a,b' | 'lognormal:mu,sigma' -> HyperPrior; 'point' -> None (pinned)."""
     if text == "point":
-        return HyperPrior("point", fallback_value)
+        return None
     try:
         kind, rest = text.split(":", 1)
         a, b = (float(x) for x in rest.split(","))
@@ -112,7 +98,7 @@ def cmd_simulate(args):
     if args.construction != "finitary" and args.n < 1:
         raise SystemExit("--n must be >= 1")
     hp = _hyper(args)
-    with _Out(args.out) as out:
+    with _open_out(args.out) as out:
         kappas = []
         row_feats = []
         pos_entries = 0
@@ -125,18 +111,15 @@ def cmd_simulate(args):
                 arr = truncated_oracle_simulate(args.n, hp, args.epsilon, rng)
             else:
                 fixed, diffuse = bnbp_sample_finitary(hp, rng)
-                out.line(_dump({"kind": "masses", "fixed": fixed, "diffuse": diffuse}))
+                print(_dump({"kind": "masses", "fixed": fixed, "diffuse": diffuse}), file=out)
                 kappas.append(len(diffuse))
                 continue
-            out.line(array_to_json(arr))
+            print(array_to_json(arr), file=out)
             kappas.append(arr.kappa)
-            per_row = [sum(1 for col in arr.columns if col[i] > 0) for i in range(arr.n)]
-            row_feats.append(sum(per_row) / arr.n)
-            for col in arr.columns:
-                for w in col:
-                    if w > 0:
-                        pos_entries += 1
-                        pos_total += w
+            positive = [w for col in arr.columns for w in col if w > 0]
+            row_feats.append(len(positive) / arr.n)
+            pos_entries += len(positive)
+            pos_total += sum(positive)
         summary = {
             "kind": "summary",
             "reps": args.reps,
@@ -144,7 +127,7 @@ def cmd_simulate(args):
             "mean_row_features": (sum(row_feats) / len(row_feats)) if row_feats else None,
             "mean_multiplicity": (pos_total / pos_entries) if pos_entries else None,
         }
-        out.line(_dump(summary))
+        print(_dump(summary), file=out)
     return 0
 
 
@@ -153,7 +136,7 @@ def cmd_pmf(args):
     failures = 0
     with open(args.in_path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    with _Out(args.out) as out:
+    with _open_out(args.out) as out:
         for idx, ln in enumerate(lines):
             try:
                 kind = json.loads(ln).get("kind")
@@ -167,7 +150,7 @@ def cmd_pmf(args):
                 print(f"record {idx}: {exc}", file=sys.stderr)
                 failures += 1
                 continue
-            out.line(_dump({"index": idx, "log_pmf": val}))
+            print(_dump({"index": idx, "log_pmf": val}), file=out)
     return 1 if failures else 0
 
 
@@ -183,22 +166,19 @@ def cmd_sample(args):
     else:
         params = NbParams(args.r, args.p)
         draw = lambda rng: nb_sample(params, rng)
-    with _Out(args.out) as out:
+    with _open_out(args.out) as out:
         total = 0
         for k in range(args.reps):
             z = draw(RngStream(args.seed, k))
             total += z
-            out.line(str(z))
-        out.line(
-            _dump(
-                {
-                    "kind": "summary",
-                    "dist": args.dist,
-                    "reps": args.reps,
-                    "mean": (total / args.reps) if args.reps else None,
-                }
-            )
-        )
+            print(z, file=out)
+        summary = {
+            "kind": "summary",
+            "dist": args.dist,
+            "reps": args.reps,
+            "mean": (total / args.reps) if args.reps else None,
+        }
+        print(_dump(summary), file=out)
     return 0
 
 
@@ -207,10 +187,11 @@ def _load_counts(path):
         text = fh.read()
     try:
         obj = json.loads(text)
-        y = obj["y"] if isinstance(obj, dict) else obj
+    except json.JSONDecodeError:
+        obj = None
+    y = obj.get("y") if isinstance(obj, dict) else obj
+    if isinstance(y, list):  # JSON; a 1x1 whitespace file also parses, as a number
         return np.asarray(y)
-    except (json.JSONDecodeError, KeyError, TypeError):
-        pass
     rows = [
         [int(tok) for tok in ln.split()] for ln in text.splitlines() if ln.strip()
     ]
@@ -245,18 +226,21 @@ def cmd_infer(args):
     else:
         y = _load_counts(args.in_path)
     model = PoissonFactorModel(y, args.a_theta, args.b_theta)
+    c_prior, r_prior = _parse_prior(args.c_prior), _parse_prior(args.r_prior)
     config = ChainConfig(
+        conc=c_prior is not None,
+        shape=r_prior is not None,
         thin=args.thin,
-        c_prior=_parse_prior(args.c_prior, hp.c),
-        r_prior=_parse_prior(args.r_prior, hp.r),
+        c_prior=c_prior or HyperPrior(),
+        r_prior=r_prior or HyperPrior(),
     )
     init = prior_state(model, hp, t_prior, rng)
-    with _Out(args.out) as out:
+    with _open_out(args.out) as out:
         if truth is not None:
-            out.line(_dump(truth))
+            print(_dump(truth), file=out)
         sweep = 0
         for state in run_chain(model, init, args.sweeps, rng, config):
-            out.line(_dump(chain_record(state, sweep, model, full=args.full)))
+            print(_dump(chain_record(state, sweep, model, full=args.full)), file=out)
             sweep += config.thin
     return 0
 
@@ -266,9 +250,8 @@ def cmd_validate(args):
     if names == ["none"]:
         print(_dump({"kind": "report", "suites": [], "passed": True}))
         return 0
-    for name in names:
-        if name not in SUITES:
-            raise SystemExit(f"unknown suite {name!r}; choose from {sorted(SUITES)} or none")
+    if "none" in names:
+        raise SystemExit("--suite none cannot be combined with other suites")
     results = run_suites(names, seed=args.seed)
     for res in results:
         print(_dump(res.to_json()))
@@ -346,6 +329,7 @@ def main(argv=None):
         "--suite",
         action="append",
         default=None,
+        choices=sorted(SUITES) + ["none"],
         help="suite name (repeatable; default all; 'none' for an empty report)",
     )
     p.add_argument("--seed", type=int, default=None, help="override per-suite default seeds")

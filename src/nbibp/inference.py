@@ -9,16 +9,21 @@ ever instantiated; every kernel works through the marginal array p.m.f.
 Kernels, in sweep order: per-entry MH with the exact prior-conditional
 proposal (so prior terms cancel and only the likelihood ratio remains), a
 per-row birth/death move for that row's singleton features, a conjugate
-Theta draw via multinomial allocation, an exact gamma draw for T, slice
-updates for c and r, and an optional uniform column shuffle.  Rejected
-proposals leave everything but the stream position untouched.
+Theta draw via multinomial allocation, an exact gamma draw for T, and slice
+updates for c and r.  Rejected proposals leave everything but the stream
+position untouched.
+
+A state the data rule out (a positive count on a zero rate) has log-likelihood
+-inf.  The MH moves accept any possible proposal from it, and the Theta draw
+leaves such counts unsplit, so a chain started there moves on instead of
+failing.
 
 At rest the chain holds W as a validated FeatureArray.  Within a sweep the
 entry and singleton passes run on an int64 n-by-kappa copy of W with its
 column sums, and W is rebuilt from it once, after both passes, if a move was
 accepted.  update_entry and update_singletons are single-move adapters over
-the same private kernels.  update_theta splits every positive count in one
-multinomial call.
+the same private kernels.  update_theta splits every positive count that has
+a positive rate in one multinomial call.
 
 A model built with y=None has a constant likelihood: every acceptance ratio
 is one and Theta reverts to its prior.  The chain then targets the prior
@@ -47,7 +52,6 @@ __all__ = [
     "update_theta",
     "update_mass_T",
     "update_c_r",
-    "shuffle_columns",
     "sweep_once",
     "run_chain",
     "prior_state",
@@ -107,13 +111,7 @@ class PoissonFactorModel:
     def loglik(self, w_mat, theta):
         if self.y is None:
             return 0.0
-        total = 0.0
-        for i in range(self.n):
-            li = self.row_loglik(i, w_mat[i], theta)
-            if li == -math.inf:
-                return -math.inf
-            total += li
-        return total
+        return sum(self.row_loglik(i, w_mat[i], theta) for i in range(self.n))
 
 
 @dataclass
@@ -152,45 +150,41 @@ class ChainState:
 
 @dataclass(frozen=True)
 class HyperPrior:
-    """Prior for a positive scalar: kind 'gamma' with (shape a, rate b),
-    'lognormal' with (mu a, sigma b), or 'point' fixing the value a."""
+    """Prior for a positive scalar: kind 'gamma' with (shape a, rate b) or
+    'lognormal' with (mu a, sigma b)."""
 
     kind: str = "gamma"
     a: float = 1.0
     b: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("gamma", "lognormal", "point"):
+        if self.kind not in ("gamma", "lognormal"):
             raise ValueError(f"unknown prior kind {self.kind!r}")
         if self.kind == "gamma" and not (self.a > 0.0 and self.b > 0.0):
             raise ValueError(f"gamma prior needs a, b > 0, got ({self.a!r}, {self.b!r})")
         if self.kind == "lognormal" and not self.b > 0.0:
             raise ValueError(f"lognormal prior needs sigma > 0, got {self.b!r}")
-        if self.kind == "point" and not self.a > 0.0:
-            raise ValueError(f"point prior needs a positive value, got {self.a!r}")
 
     def log_density(self, x):
         if x <= 0.0:
             return -math.inf
         if self.kind == "gamma":
             return (self.a - 1.0) * math.log(x) - self.b * x
-        if self.kind == "lognormal":
-            lx = math.log(x)
-            return -lx - 0.5 * ((lx - self.a) / self.b) ** 2
-        return 0.0 if x == self.a else -math.inf
+        lx = math.log(x)
+        return -lx - 0.5 * ((lx - self.a) / self.b) ** 2
 
 
 @dataclass(frozen=True)
 class ChainConfig:
     """Which optional kernels a sweep runs, thinning, and the c/r priors.
 
-    The entry, singleton and Theta kernels always run.
+    The entry, singleton and Theta kernels always run; conc=False or
+    shape=False pins c or r at its current value.
     """
 
     mass: bool = True
     conc: bool = True
     shape: bool = True
-    shuffle: bool = False
     thin: int = 1
     c_prior: HyperPrior = HyperPrior()
     r_prior: HyperPrior = HyperPrior()
@@ -322,8 +316,9 @@ def update_theta(state, model):
 
     Each observed count splits multinomially across features in proportion to
     W_{ij} Theta_{jv}; given the split, factor entries are gamma.  All cells
-    with a positive count are split in one multinomial call, in row-major
-    order.  With no data the draw is the plain prior.
+    with a positive count and a positive rate are split in one multinomial
+    call, in row-major order.  A count on a zero rate (a state the data rule
+    out) stays unsplit.  With no data the draw is the plain prior.
     """
     kappa = state.W.kappa
     if kappa < 1:
@@ -336,17 +331,11 @@ def update_theta(state, model):
         return state
     w_mat = state.W.to_matrix().astype(np.float64)
     rows, cols = np.nonzero(model.y)
-    counts = model.y[rows, cols]
     weights = w_mat[rows] * state.Theta.T[cols]
     total = weights.sum(axis=1)
-    dead = total <= 0.0
-    if dead.any():
-        k = int(np.argmax(dead))
-        raise RuntimeError(
-            f"count y[{rows[k]},{cols[k]}]={counts[k]} has zero rate; "
-            "the chain entered an impossible state"
-        )
-    draws = rng.multinomial(counts, weights / total[:, None])
+    live = total > 0.0
+    rows, cols, weights, total = rows[live], cols[live], weights[live], total[live]
+    draws = rng.multinomial(model.y[rows, cols], weights / total[:, None])
     # alloc[j, v] = sum of draws[:, j] over the cells in column v
     slot = np.arange(kappa) * model.V + cols[:, None]
     alloc = np.bincount(slot.ravel(), weights=draws.ravel(), minlength=kappa * model.V)
@@ -404,12 +393,12 @@ def update_c_r(state, c_prior=HyperPrior(), r_prior=HyperPrior()):
     """Slice updates (unit width) of c then r against the array p.m.f. plus
     the prior.
 
-    A 'point' prior pins its parameter and skips the move.
+    A prior of None pins its parameter and skips the move.
     """
     hp = state.hp
 
     def slice_move(x0, prior, hp_at):
-        if prior.kind == "point":
+        if prior is None:
             return x0
 
         def target(x):
@@ -426,21 +415,9 @@ def update_c_r(state, c_prior=HyperPrior(), r_prior=HyperPrior()):
     return state
 
 
-def shuffle_columns(state):
-    """Uniformly permute columns (and factor rows with them).
-
-    Every implemented target is label-invariant, so this is a pure mixing
-    move for the column ordering.
-    """
-    perm = state.rng.permutation(state.W.kappa)
-    state.W = FeatureArray(state.W.n, tuple(state.W.columns[j] for j in perm))
-    state.Theta = state.Theta[perm]
-    return state
-
-
 def sweep_once(state, model, config=ChainConfig()):
     """One full kernel pass in the fixed order: all non-singleton entries
-    row-major, the per-row singleton move, Theta, T, c, r, optional shuffle.
+    row-major, the per-row singleton move, Theta, T, c, r.
 
     The entry and singleton passes run on an int64 copy of W and its column
     sums; W is rebuilt (and validated) once after them, if anything moved.
@@ -464,11 +441,11 @@ def sweep_once(state, model, config=ChainConfig()):
     if config.mass:
         update_mass_T(state)
     if config.conc or config.shape:
-        cp = config.c_prior if config.conc else HyperPrior("point", state.hp.c)
-        rp = config.r_prior if config.shape else HyperPrior("point", state.hp.r)
-        update_c_r(state, cp, rp)
-    if config.shuffle:
-        shuffle_columns(state)
+        update_c_r(
+            state,
+            config.c_prior if config.conc else None,
+            config.r_prior if config.shape else None,
+        )
     state.check()
     return state
 

@@ -103,10 +103,6 @@ class RngStream:
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
-    def substream(self, stream_id):
-        """Fresh independent stream under the same seed."""
-        return RngStream(self.seed, stream_id)
-
     # Thin delegation to the underlying generator.  These are the only draw
     # primitives the package uses, so the consumption order of a given
     # operation is pinned down by its code path alone.

@@ -44,7 +44,6 @@ from .structures import (
     FeatureArray,
     Hyperparams,
     from_array,
-    left_order,
     log_pmf_struct,
     project,
     struct_to_json,
@@ -131,6 +130,17 @@ def gof_chi_square(counts, prob_of, reps, min_expected=10.0):
     return float(_chi2.sf(chi2, cells)), cells, float(chi2)
 
 
+def _pooled_cells(counts_a, counts_b, min_pooled):
+    """(count in a, count in b) for each category with pooled count at least
+    min_pooled, in sorted category order so sums do not depend on hashing."""
+    cells = []
+    for k in sorted(set(counts_a) | set(counts_b)):
+        a, b = counts_a.get(k, 0), counts_b.get(k, 0)
+        if a + b >= min_pooled:
+            cells.append((a, b))
+    return cells
+
+
 def two_sample_chi_square(counts_a, counts_b, min_pooled=20):
     """Homogeneity test for two equal-size empirical category distributions.
 
@@ -138,19 +148,8 @@ def two_sample_chi_square(counts_a, counts_b, min_pooled=20):
     """
     na = sum(counts_a.values())
     nb = sum(counts_b.values())
-    keys = [
-        k
-        for k in set(counts_a) | set(counts_b)
-        if counts_a.get(k, 0) + counts_b.get(k, 0) >= min_pooled
-    ]
-    cells = []
-    ta, tb = na, nb
-    for k in keys:
-        a, b = counts_a.get(k, 0), counts_b.get(k, 0)
-        cells.append((a, b))
-        ta -= a
-        tb -= b
-    cells.append((ta, tb))
+    cells = _pooled_cells(counts_a, counts_b, min_pooled)
+    cells.append((na - sum(a for a, _ in cells), nb - sum(b for _, b in cells)))
     chi2 = 0.0
     for a, b in cells:
         tot = a + b
@@ -168,20 +167,16 @@ def tail_aggregated_tv(counts_a, counts_b, min_pooled=40):
     every category with combined count < min_pooled into one tail cell."""
     na = sum(counts_a.values())
     nb = sum(counts_b.values())
-    keys = [
-        k
-        for k in set(counts_a) | set(counts_b)
-        if counts_a.get(k, 0) + counts_b.get(k, 0) >= min_pooled
-    ]
+    cells = _pooled_cells(counts_a, counts_b, min_pooled)
     acc = 0.0
     ta, tb = 1.0, 1.0
-    for k in keys:
-        pa = counts_a.get(k, 0) / na
-        pb = counts_b.get(k, 0) / nb
+    for a, b in cells:
+        pa = a / na
+        pb = b / nb
         acc += abs(pa - pb)
         ta -= pa
         tb -= pb
-    return 0.5 * (acc + abs(ta - tb)), len(keys)
+    return 0.5 * (acc + abs(ta - tb)), len(cells)
 
 
 def _param_grid():
@@ -195,6 +190,14 @@ def _struct_counter(draws):
         key = struct_to_json(from_array(arr))
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def _chain_pull(chain, fwd):
+    """(pull, chain mean, forward mean) of a chain series against i.i.d.
+    forward draws; the chain's standard error counts its autocorrelation."""
+    mc, sc = mean_with_se(chain, correlated=True)
+    mf, sf = mean_with_se(fwd)
+    return (mc - mf) / math.hypot(sc, sf), mc, mf
 
 
 # ---------------------------------------------------------------------------
@@ -316,22 +319,16 @@ def suite_exchangeability(seed=60, reps=40000):
     rng_a = RngStream(seed, 0)
     rng_b = RngStream(seed, 1)
 
-    def canon(arr):
-        return struct_to_json(from_array(left_order(arr)))
-
     def permuted(arr):
         cols = tuple(tuple(col[p] for p in perm) for col in arr.columns)
         return FeatureArray(arr.n, cols)
 
-    ca, cb = {}, {}
+    draws_a = [nbibp_simulate(3, hp, rng_a) for _ in range(reps)]
+    ca = _struct_counter(draws_a)
+    cb = _struct_counter(permuted(nbibp_simulate(3, hp, rng_b)) for _ in range(reps))
     worst = 0.0
-    for k in range(reps):
-        a = nbibp_simulate(3, hp, rng_a)
-        b = permuted(nbibp_simulate(3, hp, rng_b))
-        ka, kb = canon(a), canon(b)
-        ca[ka] = ca.get(ka, 0) + 1
-        cb[kb] = cb.get(kb, 0) + 1
-        if k < 500 and a.kappa:
+    for a in draws_a[:500]:
+        if a.kappa:
             worst = max(
                 worst,
                 abs(
@@ -426,14 +423,9 @@ def suite_prior_restoration(seed=301, sweeps=10000, forward_reps=20000):
         fk[s] = arr.kappa
         fw[s] = sum(sum(col) for col in arr.columns)
 
-    def pull_between(chain, fwd):
-        mc, sc = mean_with_se(chain, correlated=True)
-        mf, sf = mean_with_se(fwd)
-        return (mc - mf) / math.hypot(sc, sf), mc, mf
-
-    pk, mck, mfk = pull_between(ks, fk)
-    pw, mcw, mfw = pull_between(ws, fw)
-    pv, mcv, mfv = pull_between((ks - ks.mean()) ** 2, (fk - fk.mean()) ** 2)
+    pk, mck, mfk = _chain_pull(ks, fk)
+    pw, mcw, mfw = _chain_pull(ws, fw)
+    pv, mcv, mfv = _chain_pull((ks - ks.mean()) ** 2, (fk - fk.mean()) ** 2)
     ok = abs(pk) <= 3.0 and abs(pw) <= 3.0 and abs(pv) <= 3.0
     return ok, {
         "kappa": {"chain": mck, "forward": mfk, "pull": pk},
@@ -476,9 +468,7 @@ def suite_geweke(seed=223, iters=30000, forward_reps=12000):
     metrics = {}
     ok = True
     for t, nm in enumerate(["kappa", "total_count", "data_total", "T"]):
-        mc, sc = mean_with_se(G[:, t], correlated=True)
-        mf, sf = mean_with_se(F[:, t])
-        pull = (mc - mf) / math.hypot(sc, sf)
+        pull, mc, mf = _chain_pull(G[:, t], F[:, t])
         metrics[nm] = {"forward": mf, "chain": mc, "pull": pull}
         ok = ok and abs(pull) <= 3.0
     metrics["iters"] = iters
@@ -513,8 +503,8 @@ def suite_t_update(seed=0):
 
 
 def run_suites(names=None, seed=None):
-    """Run the named suites (all by default); a seed offsets every suite's
-    default stream so independent reruns are possible."""
+    """Run the named suites (all by default); a seed replaces every suite's
+    pinned default seed so independent reruns are possible."""
     results = []
     for name in names or SUITES:
         if name not in SUITES:

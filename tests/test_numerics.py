@@ -104,13 +104,6 @@ class TestRngStream:
     def test_seeds_differ(self):
         assert RngStream(1, 0).uniform() != RngStream(2, 0).uniform()
 
-    def test_substream_matches_fresh_stream(self):
-        root = RngStream(9, 0)
-        root.uniform()  # consuming the parent must not affect substreams
-        sub = root.substream(3)
-        fresh = RngStream(9, 3)
-        assert [sub.uniform() for _ in range(3)] == [fresh.uniform() for _ in range(3)]
-
     def test_choose_distinct(self):
         rng = RngStream(5, 0)
         picks = rng.choose(10, 4)

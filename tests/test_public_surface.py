@@ -36,6 +36,17 @@ def test_export_list():
     assert set(names) == EXPORTS
 
 
+def test_submodule_export_lists():
+    # a stale name here would break `from nbibp.<module> import *`
+    for mod in ("numerics", "distributions", "structures", "generative", "inference",
+                "validation", "cli"):
+        module = getattr(nbibp, mod)
+        names = module.__all__
+        assert len(names) == len(set(names)), mod
+        missing = [name for name in names if not hasattr(module, name)]
+        assert missing == [], (mod, missing)
+
+
 def load_spans():
     spec = importlib.util.spec_from_file_location("nbibp_perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)

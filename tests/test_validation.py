@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -77,6 +80,27 @@ class TestHelpers:
         b = {2: 600, 3: 400}
         tv, _ = tail_aggregated_tv(a, b)
         assert tv == pytest.approx(1.0)
+
+    def test_pooled_statistics_ignore_hash_seed(self):
+        # string categories, as the suites' JSON keys: set order follows the
+        # hash seed, and the float sums must not
+        script = (
+            "import numpy as np\n"
+            "from nbibp.validation import tail_aggregated_tv, two_sample_chi_square\n"
+            "g = np.random.default_rng(5)\n"
+            "a = {f'k{i}': int(x) for i, x in enumerate(g.poisson(60.0, 300))}\n"
+            "b = {f'k{i}': int(x) for i, x in enumerate(g.poisson(60.0, 300))}\n"
+            "print(repr((two_sample_chi_square(a, b), tail_aggregated_tv(a, b))))\n"
+        )
+        outs = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            run = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            )
+            assert run.returncode == 0, run.stderr
+            outs.add(run.stdout)
+        assert len(outs) == 1, outs
 
 
 class TestSuitePlumbing:
