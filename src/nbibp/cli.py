@@ -12,11 +12,12 @@ Subcommands:
 * infer: MCMC on an n-by-V count matrix (--in, whitespace or JSON), or on
   synthetic data generated forward under the prior (--synthetic), writing one
   chain record per emitted state.
-* validate: named verification suites; exit status 1 iff any suite fails.
+* validate: named verification suites.
 
-A RuntimeError or ValueError raised by a command (say, a negative count in
-the input of infer) ends it with one ``nbibp: error: ...`` line on stderr and
-exit status 2, never a traceback.
+Exit status is 0 on success, 1 when a validate suite or a pmf record fails,
+and 2 when the command cannot run: a bad flag value or bad input (say, a
+negative count for infer) ends it with one ``nbibp: error: ...`` line on
+stderr, never a traceback.
 
 Every stochastic command requires an explicit --seed and is a pure function
 of its flags: rerunning with the same flags produces byte-identical output.
@@ -84,19 +85,19 @@ def _parse_prior(text):
         kind, rest = text.split(":", 1)
         a, b = (float(x) for x in rest.split(","))
     except ValueError:
-        raise SystemExit(
+        raise ValueError(
             f"bad prior spec {text!r}: expected kind:a,b with kind gamma|lognormal, or point"
-        )
+        ) from None
     return HyperPrior(kind, a, b)
 
 
 def cmd_simulate(args):
     if args.reps < 0:
-        raise SystemExit("--reps must be >= 0")
+        raise ValueError("--reps must be >= 0")
     if args.construction == "truncated" and not 0.0 < args.epsilon < 1.0:
-        raise SystemExit("--epsilon must lie in (0, 1)")
+        raise ValueError("--epsilon must lie in (0, 1)")
     if args.construction != "finitary" and args.n < 1:
-        raise SystemExit("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     hp = _hyper(args)
     with _open_out(args.out) as out:
         kappas = []
@@ -156,7 +157,7 @@ def cmd_pmf(args):
 
 def cmd_sample(args):
     if args.reps < 0:
-        raise SystemExit("--reps must be >= 0")
+        raise ValueError("--reps must be >= 0")
     if args.dist == "digamma":
         params = DigammaParams(args.r, args.theta)
         draw = lambda rng: digamma_sample(params, rng)
@@ -196,24 +197,18 @@ def _load_counts(path):
         [int(tok) for tok in ln.split()] for ln in text.splitlines() if ln.strip()
     ]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise SystemExit(f"{path}: not a rectangular count matrix")
+        raise ValueError(f"{path}: not a rectangular count matrix")
     return np.asarray(rows, dtype=np.int64)
 
 
 def cmd_infer(args):
     if args.sweeps < 0:
-        raise SystemExit("--sweeps must be >= 0")
-    if args.thin < 1:
-        raise SystemExit("--thin must be >= 1")
-    if (args.in_path is None) == (not args.synthetic):
-        raise SystemExit("provide exactly one of --in or --synthetic")
+        raise ValueError("--sweeps must be >= 0")
     hp = _hyper(args)
     t_prior = (args.t_alpha, args.t_beta)
     rng = RngStream(args.seed, 0)
     truth = None
     if args.synthetic:
-        if args.n < 1 or args.V < 1:
-            raise SystemExit("synthetic mode needs --n and --V >= 1")
         template = PoissonFactorModel(None, args.a_theta, args.b_theta, n=args.n, V=args.V)
         gen = prior_state(template, hp, t_prior, rng)
         y = resample_counts(gen, template, rng).y
@@ -251,7 +246,7 @@ def cmd_validate(args):
         print(_dump({"kind": "report", "suites": [], "passed": True}))
         return 0
     if "none" in names:
-        raise SystemExit("--suite none cannot be combined with other suites")
+        raise ValueError("--suite none cannot be combined with other suites")
     results = run_suites(names, seed=args.seed)
     for res in results:
         print(_dump(res.to_json()))
@@ -266,8 +261,13 @@ def _add_hyper_flags(p):
     p.add_argument("--mass-T", type=float, default=1.0, dest="mass_T", help="base mass T > 0")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is one line, like any other
+        self.exit(2, f"nbibp: error: {message}\n")
+
+
 def main(argv=None):
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="nbibp",
         description="count-valued latent feature processes: simulate, evaluate, infer, verify",
     )
@@ -307,8 +307,9 @@ def main(argv=None):
 
     p = sub.add_parser("infer", help="MCMC on count data")
     _add_hyper_flags(p)
-    p.add_argument("--in", dest="in_path", default=None, help="n-by-V count matrix")
-    p.add_argument("--synthetic", action="store_true", help="generate data forward first")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="in_path", help="n-by-V count matrix")
+    source.add_argument("--synthetic", action="store_true", help="generate data forward first")
     p.add_argument("--n", type=int, default=3, help="rows (synthetic mode)")
     p.add_argument("--V", type=int, default=2, help="columns (synthetic mode)")
     p.add_argument("--a-theta", type=float, default=1.0, dest="a_theta")
@@ -338,7 +339,7 @@ def main(argv=None):
     args = top.parse_args(argv)
     try:
         return args.fn(args)
-    except (RuntimeError, ValueError) as exc:
+    except (OSError, RuntimeError, ValueError) as exc:
         print(f"nbibp: error: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2
 

@@ -352,54 +352,26 @@ def _digamma_weighted_mass(params, t):
     return head + math.exp(-log_xi - log_b) * tail
 
 
-def _bnb_damped_remainder(x, y, r, coefs_rev):
-    """(1-x)^r T_Z(y), T_Z(y) = sum over z > Z of (r)_z y^z / z!, y = x e^{-t}.
+def _bnb_damped_remainder(x, r, coefs_rev):
+    """(1-x)^r T_Z(x), T_Z(y) = sum over z > Z of (r)_z y^z / z!.
 
-    Folding the (1-x)^r factor in keeps the value bounded as x -> 1 even at
-    t = 0, where T_Z alone blows up like (1-y)^{-r}.
+    Folding the (1-x)^r factor in keeps the value bounded as x -> 1, where
+    T_Z alone blows up like (1-x)^{-r}.
     """
     Z = len(coefs_rev) - 1
-    if y <= 0.0:
+    if x <= 0.0:
         return 0.0
     damp = r * math.log1p(-x)
-    if y > 0.8:
+    if x > 0.8:
         partial = 0.0
         for coef in coefs_rev:  # Horner, as np.polyval, without its per-step overhead
-            partial = partial * y + coef
-        return math.exp(damp - r * math.log1p(-y)) - math.exp(damp) * partial
+            partial = partial * x + coef
+        # (1-x)^r (1-x)^{-r} is exactly 1.0
+        return 1.0 - math.exp(damp) * partial
     log_first = (
-        log_rising_factorial(r, Z + 1) - math.lgamma(Z + 2) + (Z + 1) * math.log(y)
+        log_rising_factorial(r, Z + 1) - math.lgamma(Z + 2) + (Z + 1) * math.log(x)
     )
-    return math.exp(damp) * _tail_sum(log_first, y, r, Z + 1)
-
-
-def _bnb_weighted_mass(params, t):
-    """sum_{z>=0} e^{-tz} pmf(z) for the beta negative binomial."""
-    r, a, b = params.r, params.alpha, params.beta
-    zs = np.arange(0, _head_length(t) + 1)
-    log_u = gammaln(r + zs) - gammaln(r) - gammaln(zs + 1)
-    log_b_ab = log_beta_fn(a, b)
-    head_terms = np.exp(
-        log_u - t * zs + gammaln(zs + a) + gammaln(r + b) - gammaln(zs + a + r + b) - log_b_ab
-    )
-    head = float(head_terms.sum())
-    last = float(head_terms[-1])
-    Z = len(zs) - 1
-    rho = math.exp(-t) * (1.0 + r / (Z + 1.0))
-    if t > 0.0 and rho < 0.99:
-        bound = last * rho / (1.0 - rho)
-        if bound < 1e-14:
-            return head
-    emt = math.exp(-t)
-    coefs_rev = np.exp(log_u)[::-1].tolist()
-
-    def damped_remainder(x):
-        return _bnb_damped_remainder(x, x * emt, r, coefs_rev)
-
-    tail = _beta_weighted_integral(
-        a, b, damped_remainder, f"BNB tail at {params!r}, t={t!r}"
-    )
-    return head + math.exp(-log_b_ab) * tail
+    return math.exp(damp) * _tail_sum(log_first, x, r, Z + 1)
 
 
 def digamma_total_mass(params):
@@ -408,7 +380,19 @@ def digamma_total_mass(params):
 
 
 def bnb_total_mass(params):
-    return _bnb_weighted_mass(params, 0.0)
+    """Total BNB mass: a _HEAD_TERMS head closed by the beta-integral tail."""
+    r, a, b = params.r, params.alpha, params.beta
+    zs = np.arange(0, _HEAD_TERMS + 1)
+    log_u = gammaln(r + zs) - gammaln(r) - gammaln(zs + 1)
+    log_b_ab = log_beta_fn(a, b)
+    head_terms = np.exp(
+        log_u + gammaln(zs + a) + gammaln(r + b) - gammaln(zs + a + r + b) - log_b_ab
+    )
+    coefs_rev = np.exp(log_u)[::-1].tolist()
+    tail = _beta_weighted_integral(
+        a, b, lambda x: _bnb_damped_remainder(x, r, coefs_rev), f"BNB tail at {params!r}"
+    )
+    return float(head_terms.sum()) + math.exp(-log_b_ab) * tail
 
 
 def nb_total_mass(params):

@@ -9,7 +9,7 @@ Three routes produce draws from the same law:
   from the empty array, so the predictive and the prior share one code path.
 * bnbp_sample_finitary: the one-shot finite construction of the process
   masses themselves, Poisson-many atoms with digamma counts plus BNB counts
-  at any fixed atoms of the base.
+  at fixed atoms of the base, which no other route or module takes.
 * truncated_oracle_simulate: a deliberately independent hierarchical oracle
   that first realizes the underlying weight measure down to weights > epsilon
   and then draws NB counts per atom.  It shares no distributional code path
@@ -49,8 +49,6 @@ def predictive_step(arr, hp, rng):
     arrive Poisson(c T [psi(c + (m+1) r) - psi(c + m r)])-many with
     digamma(r, c + m r) counts, in draw order after the existing columns.
     """
-    if hp.fixed_atoms:
-        raise ValueError("the sequential construction needs a diffuse base")
     m = arr.n
     cnr = hp.c + m * hp.r
     grown = [
@@ -77,18 +75,20 @@ def nbibp_simulate(n, hp, rng):
     return arr
 
 
-def bnbp_sample_finitary(hp, rng):
+def bnbp_sample_finitary(hp, rng, fixed_atoms=()):
     """One draw of the process masses: (counts at fixed atoms, diffuse counts).
 
     The diffuse part realizes Poisson(c T [psi(c + r) - psi(c)]) atoms with
-    i.i.d. digamma(r, c) counts; each fixed atom of weight b contributes a
-    BNB(r, c b, c (1 - b)) count (possibly zero).  Counts are returned rather
-    than located atoms: locations are exchangeable labels with no bearing on
-    any downstream computation.
+    i.i.d. digamma(r, c) counts; each fixed atom of weight b in (0, 1)
+    contributes a BNB(r, c b, c (1 - b)) count (possibly zero).  Counts are
+    returned rather than located atoms: locations are exchangeable labels
+    with no bearing on any downstream computation.
     """
+    if not all(0.0 < b < 1.0 for b in fixed_atoms):
+        raise ValueError(f"fixed atom weights must lie in (0, 1), got {fixed_atoms!r}")
     fixed = [
         bnb_sample(BnbParams(hp.r, hp.c * b, hp.c * (1.0 - b)), rng)
-        for b in hp.fixed_atoms
+        for b in fixed_atoms
     ]
     kappa = rng.poisson(hp.c * hp.T * harmonic_gap(hp.r, hp.c))
     mass_law = DigammaParams(hp.r, hp.c)
@@ -175,8 +175,6 @@ def truncated_oracle_simulate(n, hp, epsilon, rng):
     all-zero are unobservable and are discarded.  Weight sampling is exact
     (piecewise rejection), so epsilon is the only approximation.
     """
-    if hp.fixed_atoms:
-        raise ValueError("the truncated oracle needs a diffuse base")
     if n != int(n) or n < 1:
         raise ValueError(f"truncated_oracle_simulate needs integer n >= 1, got {n!r}")
     if not 0.0 < epsilon < 1.0:

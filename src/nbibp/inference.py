@@ -353,12 +353,13 @@ def update_mass_T(state):
     hp = state.hp
     rate = beta + hp.c * harmonic_gap(state.W.n * hp.r, hp.c)
     new_t = state.rng.gamma(alpha + state.W.kappa, 1.0 / rate)
-    state.hp = Hyperparams(hp.r, hp.c, new_t, hp.fixed_atoms)
+    state.hp = Hyperparams(hp.r, hp.c, new_t)
     return state
 
 
-def _slice_update(x0, log_target, width, rng, max_steps=1000):
-    """One stepping-out/shrinkage slice move on (0, inf)."""
+def _slice_update(x0, log_target, rng):
+    """One stepping-out/shrinkage slice move on (0, inf), unit width."""
+    width, max_steps = 1.0, 1000
     f0 = log_target(x0)
     if not math.isfinite(f0):
         raise ValueError(f"slice sampling started at zero density (x0={x0!r})")
@@ -407,11 +408,11 @@ def update_c_r(state, c_prior=HyperPrior(), r_prior=HyperPrior()):
                 return -math.inf
             return lp + log_pmf_array(state.W, hp_at(x))
 
-        return _slice_update(x0, target, 1.0, state.rng)
+        return _slice_update(x0, target, state.rng)
 
-    c = slice_move(hp.c, c_prior, lambda c: Hyperparams(hp.r, c, hp.T, hp.fixed_atoms))
-    r = slice_move(hp.r, r_prior, lambda r: Hyperparams(r, c, hp.T, hp.fixed_atoms))
-    state.hp = Hyperparams(r, c, hp.T, hp.fixed_atoms)
+    c = slice_move(hp.c, c_prior, lambda c: Hyperparams(hp.r, c, hp.T))
+    r = slice_move(hp.r, r_prior, lambda r: Hyperparams(r, c, hp.T))
+    state.hp = Hyperparams(r, c, hp.T)
     return state
 
 
@@ -475,9 +476,7 @@ def prior_state(model, hp, t_prior, rng, draw_T=False):
     """A fresh state from the prior: optionally T ~ Gamma(t_prior), then the
     array, then factor rows."""
     if draw_T:
-        hp = Hyperparams(
-            hp.r, hp.c, rng.gamma(t_prior[0], 1.0 / t_prior[1]), hp.fixed_atoms
-        )
+        hp = Hyperparams(hp.r, hp.c, rng.gamma(t_prior[0], 1.0 / t_prior[1]))
     W = nbibp_simulate(model.n, hp, rng)
     theta = rng.gamma_array(
         np.full((W.kappa, model.V), model.a_theta), 1.0 / model.b_theta

@@ -49,25 +49,18 @@ __all__ = [
 class Hyperparams:
     """Count shape r > 0, concentration c > 0, base mass T > 0.
 
-    fixed_atoms lists the weights of any deterministic atoms of the base
-    measure, each in (0, 1); the buffet simulators require it empty.
+    The base measure is diffuse with total mass T, as the buffet, the p.m.f.s
+    and the MCMC assume; fixed atoms enter only the finitary construction,
+    as an argument of bnbp_sample_finitary.
     """
 
     r: float
     c: float
     T: float
-    fixed_atoms: tuple = ()
 
     def __post_init__(self):
         if not (self.r > 0.0 and self.c > 0.0 and self.T > 0.0):
             raise ValueError(f"Hyperparams needs r, c, T > 0, got {self!r}")
-        object.__setattr__(self, "fixed_atoms", tuple(float(b) for b in self.fixed_atoms))
-        for b in self.fixed_atoms:
-            if not 0.0 < b < 1.0:
-                raise ValueError(
-                    f"fixed atom weights must lie strictly inside (0, 1), got {b!r}; "
-                    "a unit atom would make every count draw infinite"
-                )
 
 
 def _check_history(h, n):
@@ -207,8 +200,6 @@ def _log_column_factor(h, r, cnr):
 
 def log_pmf_struct(struct, hp):
     """Exact log probability of a combinatorial structure after n rows."""
-    if hp.fixed_atoms:
-        raise ValueError("structure p.m.f. is defined for a diffuse base only")
     n = struct.n
     cnr = hp.c + n * hp.r
     rate = hp.c * hp.T * (digamma_fn(cnr) - digamma_fn(hp.c))
@@ -225,8 +216,6 @@ def log_pmf_array(arr, hp):
     Equals log_pmf_struct of the collapsed structure minus the log ordering
     count, and is invariant to column order.
     """
-    if hp.fixed_atoms:
-        raise ValueError("array p.m.f. is defined for a diffuse base only")
     if arr.n < 1:
         raise ValueError("log_pmf_array needs at least one row")
     n = arr.n

@@ -46,6 +46,7 @@ from .structures import (
     from_array,
     log_pmf_struct,
     project,
+    struct_from_json,
     struct_to_json,
 )
 
@@ -81,15 +82,15 @@ class SuiteResult:
 # statistical helpers
 
 
-def autocorr_time(x, max_lag=500):
-    """Integrated autocorrelation time, truncated at the first lag below 0.05."""
+def autocorr_time(x):
+    """Integrated autocorrelation time, truncated at lag 500 or the first below 0.05."""
     x = np.asarray(x, dtype=np.float64)
     x = x - x.mean()
     v = float((x * x).mean())
     if v == 0.0:
         return 1.0
     tau = 1.0
-    for k in range(1, min(max_lag, len(x) // 3)):
+    for k in range(1, min(500, len(x) // 3)):
         rho = float((x[:-k] * x[k:]).mean()) / v
         if rho < 0.05:
             break
@@ -106,10 +107,10 @@ def mean_with_se(x, correlated=False):
     return float(x.mean()), float(se)
 
 
-def gof_chi_square(counts, prob_of, reps, min_expected=10.0):
+def gof_chi_square(counts, prob_of, reps):
     """Goodness of fit of observed category counts against exact probabilities.
 
-    Categories with expected count >= min_expected keep their own cell; the
+    Categories with expected count >= 10 keep their own cell; the
     rest pool into a single tail cell whose probability is exact.  Returns
     (p_value, cells, chi2).
     """
@@ -119,7 +120,7 @@ def gof_chi_square(counts, prob_of, reps, min_expected=10.0):
     tail_obs = reps
     for key, obs in counts.items():
         pr = prob_of(key)
-        if pr * reps < min_expected:
+        if pr * reps < 10.0:
             continue
         chi2 += (obs - pr * reps) ** 2 / (pr * reps)
         covered += pr
@@ -141,14 +142,14 @@ def _pooled_cells(counts_a, counts_b, min_pooled):
     return cells
 
 
-def two_sample_chi_square(counts_a, counts_b, min_pooled=20):
+def two_sample_chi_square(counts_a, counts_b):
     """Homogeneity test for two equal-size empirical category distributions.
 
-    Cells with pooled count below min_pooled merge into the tail cell.
+    Cells with pooled count below 20 merge into the tail cell.
     """
     na = sum(counts_a.values())
     nb = sum(counts_b.values())
-    cells = _pooled_cells(counts_a, counts_b, min_pooled)
+    cells = _pooled_cells(counts_a, counts_b, 20)
     cells.append((na - sum(a for a, _ in cells), nb - sum(b for _, b in cells)))
     chi2 = 0.0
     for a, b in cells:
@@ -162,12 +163,12 @@ def two_sample_chi_square(counts_a, counts_b, min_pooled=20):
     return float(_chi2.sf(chi2, dof)), len(cells), float(chi2)
 
 
-def tail_aggregated_tv(counts_a, counts_b, min_pooled=40):
+def tail_aggregated_tv(counts_a, counts_b):
     """Total variation between two equal-size empirical laws after pooling
-    every category with combined count < min_pooled into one tail cell."""
+    every category with combined count < 40 into one tail cell."""
     na = sum(counts_a.values())
     nb = sum(counts_b.values())
-    cells = _pooled_cells(counts_a, counts_b, min_pooled)
+    cells = _pooled_cells(counts_a, counts_b, 40)
     acc = 0.0
     ta, tb = 1.0, 1.0
     for a, b in cells:
@@ -249,8 +250,9 @@ def suite_normalization(seed=0):
 
 
 @_suite("rejection-sampler")
-def suite_rejection_sampler(seed=20, reps=100000):
+def suite_rejection_sampler(seed=20):
     """Sampler matches its p.m.f. (chi-square) and its round-count budget."""
+    reps = 100000
     metrics = {}
     ok = True
     for idx, (r, th) in enumerate([(1.0, 1.0), (2.0, 1.0), (0.5, 3.0)]):
@@ -284,13 +286,12 @@ def suite_rejection_sampler(seed=20, reps=100000):
 
 
 @_suite("simulator-pmf")
-def suite_simulator_pmf(seed=40, reps=100000):
+def suite_simulator_pmf(seed=40):
     """Sequential draws at n=2 match the exact structure p.m.f."""
+    reps = 100000
     hp = Hyperparams(1.0, 1.0, 0.5)
     rng = RngStream(seed, 0)
     counts = _struct_counter(nbibp_simulate(2, hp, rng) for _ in range(reps))
-    from .structures import struct_from_json
-
     pval, cells, chi2 = gof_chi_square(
         counts, lambda key: math.exp(log_pmf_struct(struct_from_json(key), hp)), reps
     )
@@ -298,8 +299,9 @@ def suite_simulator_pmf(seed=40, reps=100000):
 
 
 @_suite("two-construction")
-def suite_two_construction(seed=50, reps=100000, epsilon=1e-4):
+def suite_two_construction(seed=50):
     """Buffet route and truncated weight-measure route agree in law."""
+    reps, epsilon = 100000, 1e-4
     hp = Hyperparams(1.0, 1.0, 0.5)
     rng_a = RngStream(seed, 0)
     rng_b = RngStream(seed, 1)
@@ -312,8 +314,9 @@ def suite_two_construction(seed=50, reps=100000, epsilon=1e-4):
 
 
 @_suite("exchangeability")
-def suite_exchangeability(seed=60, reps=40000):
+def suite_exchangeability(seed=60):
     """Row order is immaterial, empirically and algebraically."""
+    reps = 40000
     hp = Hyperparams(1.0, 1.0, 1.0)
     perm = (2, 0, 1)
     rng_a = RngStream(seed, 0)
@@ -344,8 +347,9 @@ def suite_exchangeability(seed=60, reps=40000):
 
 
 @_suite("projection")
-def suite_projection(seed=70, reps=40000):
+def suite_projection(seed=70):
     """Dropping the last row of an (n+1)-row draw reproduces the n-row law."""
+    reps = 40000
     hp = Hyperparams(1.0, 1.0, 1.0)
     rng_a = RngStream(seed, 0)
     rng_b = RngStream(seed, 1)
@@ -369,9 +373,10 @@ def suite_projection(seed=70, reps=40000):
 
 
 @_suite("expected-kappa")
-def suite_expected_kappa(seed=80, reps=20000):
+def suite_expected_kappa(seed=80):
     """E[number of features] = c T [psi(c + n r) - psi(c)], incl. the r=1
     harmonic-number case T (1 + 1/2 + ... + 1/n)."""
+    reps = 20000
     metrics = {}
     ok = True
     for idx, (r, c, T, n) in enumerate(
@@ -397,13 +402,14 @@ def suite_expected_kappa(seed=80, reps=20000):
 
 
 @_suite("prior-restoration")
-def suite_prior_restoration(seed=301, sweeps=10000, forward_reps=20000):
+def suite_prior_restoration(seed=301):
     """Flat-likelihood MCMC leaves the prior invariant at n=3, r=c=T=1.
 
     The total serving count has an infinite prior mean here (its tail decays
     like z^{-2}), so its comparison is self-normalized: both sides estimate
     the same truncated functional and the pull stays calibrated.
     """
+    sweeps, forward_reps = 10000, 20000
     hp = Hyperparams(1.0, 1.0, 1.0)
     model = PoissonFactorModel(None, n=3, V=2)
     cfg = ChainConfig(mass=False, conc=False, shape=False)
@@ -437,12 +443,13 @@ def suite_prior_restoration(seed=301, sweeps=10000, forward_reps=20000):
 
 
 @_suite("geweke")
-def suite_geweke(seed=223, iters=30000, forward_reps=12000):
+def suite_geweke(seed=223):
     """Forward vs successive-conditional moments on the Poisson factor model.
 
     n=3, V=2, r=1, c=3 (c large enough for finite count variance), T under a
     Gamma(4,4) prior so the mass kernel is exercised; c and r stay pinned.
     """
+    iters, forward_reps = 30000, 12000
     hp = Hyperparams(1.0, 3.0, 1.0)
     t_prior = (4.0, 4.0)
     model = PoissonFactorModel(None, n=3, V=2)

@@ -22,6 +22,14 @@ def run_main(capsys, *argv):
     return code, capsys.readouterr().out.splitlines()
 
 
+def exit_status(argv):
+    """cli.main's status, whether it returns it or argparse exits with it."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestSimulate:
     def test_lines_and_summary(self, capsys):
         code, lines = run_main(
@@ -74,19 +82,6 @@ class TestSimulate:
         )
         assert code == 0 and lines == []
         assert len(path.read_text().splitlines()) == 3
-
-    def test_flag_validation(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["simulate", "--reps", "-1", "--seed", "1"])
-        with pytest.raises(SystemExit):
-            cli.main(["simulate", "--n", "0", "--seed", "1"])
-        with pytest.raises(SystemExit):
-            cli.main(
-                ["simulate", "--construction", "truncated", "--epsilon", "0", "--seed", "1"]
-            )
-        with pytest.raises(SystemExit):  # --seed is mandatory
-            cli.main(["simulate", "--reps", "1"])
-        capsys.readouterr()
 
 
 class TestPmf:
@@ -224,6 +219,15 @@ class TestInfer:
         )
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
+    def test_lognormal_prior_file_mode(self, tmp_path, capsys):
+        path = tmp_path / "y.txt"
+        path.write_text("1 0 2\n0 3 1\n2 1 0\n")
+        code, lines = run_main(
+            capsys, "infer", "--in", str(path), "--sweeps", "5", "--seed", "3",
+            "--c-prior", "lognormal:0,1", "--r-prior", "lognormal:0.5,0.5",
+        )
+        assert code == 0 and len(lines) == 6
+
     def test_one_by_one_whitespace_file(self, tmp_path, capsys):
         # "3" also parses as a JSON number; it must be read as a 1x1 matrix
         path = tmp_path / "y.txt"
@@ -244,6 +248,43 @@ class TestInfer:
 
 
 class TestErrorBoundary:
+    def test_bad_flags_exit_2_with_one_line(self, tmp_path, capsys):
+        good = tmp_path / "y.txt"
+        good.write_text("1 0\n2 1\n")
+        ragged = tmp_path / "ragged.txt"
+        ragged.write_text("1 0\n2\n")
+        missing = str(tmp_path / "missing.txt")
+        bad = [
+            ["simulate", "--reps", "-1", "--seed", "1"],
+            ["simulate", "--n", "0", "--seed", "1"],
+            ["simulate", "--construction", "truncated", "--epsilon", "0", "--seed", "1"],
+            ["simulate", "--r", "0", "--seed", "1"],
+            ["simulate", "--reps", "1"],  # --seed is mandatory
+            ["simulate", "--reps", "two", "--seed", "1"],
+            ["sample", "--reps", "-1", "--seed", "1"],
+            ["sample", "--dist", "nb", "--p", "1.5", "--seed", "1"],
+            ["pmf", "--in", missing],
+            ["infer", "--seed", "1"],
+            ["infer", "--in", str(good), "--synthetic", "--seed", "1"],
+            ["infer", "--in", missing, "--seed", "1"],
+            ["infer", "--in", str(ragged), "--seed", "1"],
+            ["infer", "--synthetic", "--sweeps", "-1", "--seed", "1"],
+            ["infer", "--synthetic", "--thin", "0", "--seed", "1"],
+            ["infer", "--synthetic", "--n", "0", "--seed", "1"],
+            ["infer", "--synthetic", "--V", "0", "--seed", "1"],
+            ["infer", "--synthetic", "--c-prior", "gamma:1", "--seed", "1"],
+            ["infer", "--synthetic", "--r-prior", "gamma:-1,1", "--seed", "1"],
+            ["validate", "--suite", "none", "--suite", "t-update"],
+            ["validate", "--suite", "no-such-suite"],
+        ]
+        for argv in bad:
+            code = exit_status(argv)
+            captured = capsys.readouterr()
+            assert code == 2, argv
+            assert captured.out == "", argv
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("nbibp: error: "), (argv, lines)
+
     def test_cold_starts_run_to_the_end(self, capsys):
         # a cold start can leave a counted row without features, a state the
         # data rule out; the chain must move on from it, not stop

@@ -70,11 +70,6 @@ class TestBuffet:
         with pytest.raises(ValueError):
             nbibp_simulate(-1, hp, rng)
 
-    def test_fixed_atoms_rejected(self):
-        hp = Hyperparams(1.0, 1.0, 1.0, fixed_atoms=(0.5,))
-        with pytest.raises(ValueError):
-            predictive_step(FeatureArray(0, ()), hp, RngStream(0, 0))
-
     def test_step_keeps_existing_columns(self):
         hp = Hyperparams(1.0, 1.0, 1.0)
         rng = RngStream(22, 0)
@@ -115,19 +110,29 @@ class TestBuffet:
 
 class TestFinitary:
     def test_shapes(self):
-        hp = Hyperparams(2.0, 3.0, 0.5, fixed_atoms=(0.25,))
-        fixed, diffuse = bnbp_sample_finitary(hp, RngStream(25, 0))
+        hp = Hyperparams(2.0, 3.0, 0.5)
+        fixed, diffuse = bnbp_sample_finitary(hp, RngStream(25, 0), fixed_atoms=(0.25,))
         assert len(fixed) == 1
         assert all(z >= 0 for z in fixed)
         assert all(z >= 1 for z in diffuse)
 
+    def test_fixed_atom_weights_checked(self):
+        # weights 0 and 1 are refused before any draw is taken
+        hp = Hyperparams(2.0, 3.0, 0.5)
+        for b in (0.0, 1.0):
+            rng = RngStream(27, 0)
+            with pytest.raises(ValueError, match="fixed atom weights"):
+                bnbp_sample_finitary(hp, rng, fixed_atoms=(0.5, b))
+            assert rng.uniform() == RngStream(27, 0).uniform()
+        assert bnbp_sample_finitary(hp, RngStream(27, 0))[0] == []
+
     def test_atom_count_and_means(self):
-        hp = Hyperparams(2.0, 3.0, 0.5, fixed_atoms=(0.25,))
+        hp = Hyperparams(2.0, 3.0, 0.5)
         reps = 10_000
         rng = RngStream(26, 0)
         kappas, fixed_draws = [], []
         for _ in range(reps):
-            fixed, diffuse = bnbp_sample_finitary(hp, rng)
+            fixed, diffuse = bnbp_sample_finitary(hp, rng, fixed_atoms=(0.25,))
             kappas.append(len(diffuse))
             fixed_draws.append(fixed[0])
         lam = hp.c * hp.T * harmonic_gap(hp.r, hp.c)
@@ -202,10 +207,6 @@ class TestTruncatedOracle:
             truncated_oracle_simulate(0, hp, 0.1, rng)
         with pytest.raises(ValueError):
             truncated_oracle_simulate(2, hp, 0.0, rng)
-        with pytest.raises(ValueError):
-            truncated_oracle_simulate(
-                2, Hyperparams(1.0, 1.0, 1.0, fixed_atoms=(0.5,)), 0.1, rng
-            )
 
     def test_shape_and_support(self):
         hp = Hyperparams(1.0, 1.0, 0.5)

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
+from scipy.stats import lognorm
 
 from nbibp.distributions import BnbParams, bnb_log_pmf
 from nbibp.inference import (
@@ -395,7 +396,7 @@ class TestSliceUpdates:
         for _ in range(reps):
             x0 = rng.gamma(a, 1.0 / b)
             outs.append(
-                _slice_update(x0, lambda x: (a - 1.0) * math.log(x) - b * x, 1.0, rng)
+                _slice_update(x0, lambda x: (a - 1.0) * math.log(x) - b * x, rng)
             )
         edges = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, math.inf]
         seen = Counter()
@@ -415,11 +416,11 @@ class TestSliceUpdates:
 
     def test_flat_target_exhausts_bracket(self):
         with pytest.raises(RuntimeError):
-            _slice_update(1.0, lambda x: 0.0, 1.0, RngStream(111, 0))
+            _slice_update(1.0, lambda x: 0.0, RngStream(111, 0))
 
     def test_zero_density_start_rejected(self):
         with pytest.raises(ValueError):
-            _slice_update(1.0, lambda x: -math.inf, 1.0, RngStream(112, 0))
+            _slice_update(1.0, lambda x: -math.inf, RngStream(112, 0))
 
     def test_point_priors_pin_values(self):
         hp = Hyperparams(1.3, 0.7, 1.1)
@@ -440,6 +441,34 @@ class TestSliceUpdates:
             moved_c = moved_c or state.hp.c != before.c
             moved_r = moved_r or state.hp.r != before.r
         assert moved_c and moved_r
+
+
+class TestHyperPrior:
+    def test_log_density_matches_scipy(self):
+        # log_density drops the normalising constant, so compare differences
+        cases = [
+            (HyperPrior("gamma", 2.5, 1.5), lambda x: gamma_dist.logpdf(x, 2.5, scale=1.0 / 1.5)),
+            (HyperPrior("lognormal", 0.4, 0.8), lambda x: lognorm.logpdf(x, 0.8, scale=math.exp(0.4))),
+        ]
+        for prior, ref in cases:
+            for x, y in [(0.3, 1.0), (1.0, 2.7), (0.05, 6.0)]:
+                got = prior.log_density(x) - prior.log_density(y)
+                assert got == pytest.approx(float(ref(x) - ref(y)), rel=1e-12, abs=1e-12)
+
+    def test_support_and_parameter_checks(self):
+        for prior in (HyperPrior(), HyperPrior("lognormal", 0.0, 1.0)):
+            assert prior.log_density(0.0) == -math.inf
+            assert prior.log_density(-2.0) == -math.inf
+        for kind, a, b in [
+            ("gamma", 0.0, 1.0),
+            ("gamma", 1.0, -1.0),
+            ("lognormal", 0.0, 0.0),
+            ("lognormal", 1.0, -0.5),
+            ("weibull", 1.0, 1.0),
+        ]:
+            with pytest.raises(ValueError):
+                HyperPrior(kind, a, b)
+        assert HyperPrior("lognormal", -3.0, 0.5).a == -3.0  # mu may be negative
 
 
 class TestChainDriver:

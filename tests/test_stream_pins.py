@@ -1,4 +1,4 @@
-"""Random-stream pins: sha256 digests of four fixed-seed runs.
+"""Random-stream pins: sha256 digests of six fixed-seed runs.
 
 The chain and infer digests were recorded before the sweep kernels moved onto an int64 count
 matrix and Theta's allocation became one multinomial call.  That rewrite
@@ -8,7 +8,11 @@ per-atom posterior records; that rewrite keeps the same draws as well.
 A change that alters the stream on purpose declares it in CHANGES.md and
 re-records them here.  The chain digest was re-recorded for the default
 configuration when the column-shuffle kernel was removed; it was taken from
-the code before that removal.
+the code before that removal.  The chain and Geweke digests hash the
+hyperparameters as (r, c, T) rather than through repr(Hyperparams), so the
+text of that repr is not part of the pin; both values, and the finitary and
+truncated simulate digests, were recorded before fixed atoms left
+Hyperparams.
 """
 
 import hashlib
@@ -28,10 +32,17 @@ from nbibp.inference import (
 from nbibp.numerics import RngStream
 from nbibp.structures import FeatureArray, Hyperparams
 
-RUN_CHAIN_SHA256 = "a32f193abddb424a988a46b5543f41a6915ac190cd3c191e3e8c89430f2da539"
-GEWEKE_LOOP_SHA256 = "9dd043017c12eb8fe85e5aff32ccd8f6f3528373180fd358fc47baa4c070391e"
+RUN_CHAIN_SHA256 = "69a56b5402570ccdd0b31310e57ae196af3248911bf095e54aa6b3d09765d875"
+GEWEKE_LOOP_SHA256 = "26ed630769ee27134443245e29bb72d85367060579b89b1127121b63f32c3e5f"
 INFER_FULL_SHA256 = "de38bde5fc36109c8bdfd185de01e1e3ffbc8c8fe14ced75b23c32bc9f646e03"
 SIMULATE_SHA256 = "049e43bc035188a3273ca3e90763fe5b2eca456f4814e2fa0a968cbb1e54f150"
+FINITARY_SHA256 = "f968b048f6346bef9cdc63b5e349fc0f3c7d14241a5a3e54718e5984f8977b0e"
+TRUNCATED_SHA256 = "3a733207f7df4873df3b5bf8ee1d079a936af9c72e7292ccc8a4eedc6be671fe"
+
+
+def _state_key(state):
+    hp = state.hp
+    return repr((state.W.columns, hp.r, hp.c, hp.T)).encode()
 
 
 def _planted(n, V, K, seed):
@@ -55,7 +66,7 @@ def run_chain_digest():
     )
     h = hashlib.sha256()
     for state in run_chain(model, init, 10, rng, ChainConfig()):
-        h.update(repr((state.W.columns, state.hp)).encode())
+        h.update(_state_key(state))
         h.update(state.Theta.tobytes())
     return h.hexdigest()
 
@@ -71,7 +82,7 @@ def geweke_loop_digest(iters=500):
     for _ in range(iters):
         sweep_once(state, m, cfg)
         m = resample_counts(state, m, rng)
-        h.update(repr((state.W.columns, state.hp)).encode())
+        h.update(_state_key(state))
         h.update(state.Theta.tobytes())
         h.update(m.y.tobytes())
     return h.hexdigest()
@@ -105,3 +116,21 @@ def test_simulate_output_pinned(capsys):
         "--reps", "200", "--seed", "5",
     )
     assert digest == SIMULATE_SHA256
+
+
+def test_finitary_output_pinned(capsys):
+    digest = stdout_digest(
+        capsys,
+        "simulate", "--construction", "finitary", "--r", "1.5", "--c", "2", "--mass-T", "2",
+        "--reps", "300", "--seed", "7",
+    )
+    assert digest == FINITARY_SHA256
+
+
+def test_truncated_output_pinned(capsys):
+    digest = stdout_digest(
+        capsys,
+        "simulate", "--construction", "truncated", "--epsilon", "1e-3", "--n", "2",
+        "--reps", "100", "--seed", "7",
+    )
+    assert digest == TRUNCATED_SHA256

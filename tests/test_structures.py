@@ -94,16 +94,7 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(1.0, -2.0, 1.0)
         with pytest.raises(ValueError):
-            Hyperparams(1.0, 1.0, 1.0, fixed_atoms=(1.0,))
-        ok = Hyperparams(1.0, 1.0, 1.0, fixed_atoms=(0.5, 0.25))
-        assert ok.fixed_atoms == (0.5, 0.25)
-
-    def test_fixed_atoms_block_pmfs(self):
-        hp = Hyperparams(1.0, 1.0, 1.0, fixed_atoms=(0.5,))
-        with pytest.raises(ValueError):
-            log_pmf_struct(CombStruct(1, {(1,): 1}), hp)
-        with pytest.raises(ValueError):
-            log_pmf_array(FeatureArray(1, ((1,),)), hp)
+            Hyperparams(1.0, 1.0, 0.0)
 
 
 class TestPmfFrozenValues:
