@@ -16,18 +16,14 @@ from .distributions import (
     DigammaParams,
     NbParams,
     bnb_log_pmf,
-    bnb_mean,
     bnb_sample,
     bnb_total_mass,
-    digamma_laplace,
     digamma_log_pmf,
-    digamma_mean,
     digamma_sample,
     digamma_sample_rounds,
     digamma_total_mass,
     nb_log_pmf,
     nb_sample,
-    nb_total_mass,
 )
 from .structures import (
     CombStruct,
@@ -36,21 +32,18 @@ from .structures import (
     array_from_json,
     array_to_json,
     from_array,
-    left_order,
     log_pmf_array,
     log_pmf_struct,
     ordering_count,
     project,
     struct_from_json,
     struct_to_json,
-    uniform_label,
 )
 from .generative import (
     bnbp_sample_finitary,
     nbibp_simulate,
     predictive_step,
     truncated_oracle_simulate,
-    truncated_weight_mass,
 )
 from .inference import (
     ChainConfig,

@@ -8,9 +8,10 @@
 
 Log p.m.f.s are exact up to floating point.  Samplers draw through exact
 beta / gamma / Poisson primitives only; the digamma sampler is a rejection
-scheme whose proposal is BNB(r, 1, theta).  Total-mass and Laplace-transform
-evaluations sum a truncated series and close it with an exact beta-integral
-tail, so normalization checks hold to 1e-10 even for slowly decaying tails.
+scheme whose proposal is BNB(r, 1, theta).  The digamma and BNB total masses
+sum a truncated series and close it with an exact beta-integral tail, taken
+in s = -log(1-x) near x = 1, so normalization checks hold to 1e-10 even for
+slowly decaying tails.  The NB mass is 1 by the negative binomial theorem.
 """
 
 import math
@@ -29,16 +30,12 @@ __all__ = [
     "digamma_log_pmf",
     "digamma_sample",
     "digamma_sample_rounds",
-    "digamma_mean",
-    "digamma_laplace",
     "digamma_total_mass",
     "bnb_log_pmf",
     "bnb_sample",
-    "bnb_mean",
     "bnb_total_mass",
     "nb_log_pmf",
     "nb_sample",
-    "nb_total_mass",
 ]
 
 REJECTION_CAP = 10**7
@@ -132,24 +129,6 @@ def nb_log_pmf(params, z):
 
 
 # ---------------------------------------------------------------------------
-# means
-
-
-def digamma_mean(params):
-    """r / ((theta - 1)(psi(theta + r) - psi(theta))); finite only for theta > 1."""
-    if params.theta <= 1.0:
-        raise ValueError(f"digamma mean diverges for theta <= 1, got theta={params.theta!r}")
-    return params.r / ((params.theta - 1.0) * harmonic_gap(params.r, params.theta))
-
-
-def bnb_mean(params):
-    """r alpha / (beta - 1); finite only for beta > 1."""
-    if params.beta <= 1.0:
-        raise ValueError(f"BNB mean diverges for beta <= 1, got beta={params.beta!r}")
-    return params.r * params.alpha / (params.beta - 1.0)
-
-
-# ---------------------------------------------------------------------------
 # samplers
 
 
@@ -212,23 +191,19 @@ def digamma_sample(params, rng):
 # toward 1.  Writing the rising-factorial ratio as a beta integral turns the
 # whole tail into one smooth 1-d integral, which quadrature nails to ~1e-13:
 #
-#   sum_{z>Z} e^{-tz} (r)_z / ((r+theta)_z z)
-#       = (1/B(r,theta)) int_0^1 x^{r-1} (1-x)^{theta-1} R_Z(x e^{-t}) dx,
-#   R_Z(y) = sum_{z>Z} y^z / z = -log(1-y) - sum_{z<=Z} y^z / z,
+#   sum_{z>Z} (r)_z / ((r+theta)_z z)
+#       = (1/B(r,theta)) int_0^1 x^{r-1} (1-x)^{theta-1} R_Z(x) dx,
+#   R_Z(x) = sum_{z>Z} x^z / z = -log(1-x) - sum_{z<=Z} x^z / z,
 #
-# and likewise for the BNB with remainder T_Z(y) = (1-y)^{-r} - partial
-# binomial series.  For t > 0 a genuinely geometric bound (ratio < e^{-t})
-# lets the integral be skipped once the bound drops below 1e-14.
+# and likewise for the BNB with remainder T_Z(x) = (1-x)^{-r} - partial
+# binomial series.  Above x = 1/2 the integral runs in s = -log(1-x) over
+# (log 2, inf): there (1-x)^{b-1} dx = e^{-bs} ds and R_Z = s - partial, so
+# the weight's endpoint singularity and the remainder's log singularity both
+# become a smooth, exponentially decaying integrand, for every shape b.  The
+# remainders take s alongside x, so none of them ever needs 1 - x, which
+# rounds to 0 long before the e^{-bs} weight has decayed when b is small.
 
 _HEAD_TERMS = 128
-
-
-def _head_length(t):
-    # For t > 0, extend the head until e^{-tZ} alone certifies the tail, so
-    # the quadrature is skipped whenever t is not tiny.
-    if t <= 0.0:
-        return _HEAD_TERMS
-    return int(min(4096, max(_HEAD_TERMS, math.ceil(40.0 / t))))
 
 
 def _quad_piece(f, a, b, what):
@@ -243,53 +218,49 @@ def _quad_piece(f, a, b, what):
 
 
 def _beta_weighted_integral(a, b, g, what):
-    """int_0^1 x^{a-1} (1-x)^{b-1} g(x) dx, g bounded or log-singular at 1.
+    """int_0^1 x^{a-1} (1-x)^{b-1} g(x, s) dx with s = -log(1-x); g bounded
+    or log-singular at 1.
 
-    Split at 1/2.  A piece whose endpoint weight is singular (shape < 1) is
-    computed under the substitution v = x^a resp. u = (1-x)^b, which absorbs
-    the algebraic singularity exactly; a piece with shape >= 1 is already
-    continuous and is integrated as is.  Substituting when the shape exceeds
-    one would be wrong-headed: it compresses the integrand into an
-    unresolvable boundary layer instead of stretching it.
+    Split at 1/2.  Below it, shape a < 1 is computed under the substitution
+    v = x^a, which absorbs the algebraic singularity at 0 exactly, and shape
+    a >= 1 is already continuous and is integrated as is (substituting there
+    would compress the integrand into an unresolvable boundary layer instead
+    of stretching it).  Above it, the integral runs in s.
     """
 
-    def plain(x):
-        if x <= 0.0 or x >= 1.0:
-            return 0.0
-        gx = g(x)
-        if gx == 0.0:
-            return 0.0
-        return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)) * gx
-
-    total = 0.0
     if a < 1.0:
 
-        def low(v):
+        def lower(v):
             x = v ** (1.0 / a)
             if x <= 0.0:
                 return 0.0
-            gx = g(min(x, 0.5))
+            x = min(x, 0.5)
+            gx = g(x, -math.log1p(-x))
             if gx == 0.0:
                 return 0.0
             return math.exp((b - 1.0) * math.log1p(-x)) * gx / a
 
-        total += _quad_piece(low, 0.0, 0.5**a, what)
+        total = _quad_piece(lower, 0.0, 0.5**a, what)
     else:
-        total += _quad_piece(plain, 0.0, 0.5, what)
-    if b < 1.0:
 
-        def high(u):
-            x = 1.0 - u ** (1.0 / b)
-            x = min(max(x, 0.5), 1.0 - 1e-16)
-            gx = g(x)
+        def lower(x):
+            if x <= 0.0:
+                return 0.0
+            gx = g(x, -math.log1p(-x))
             if gx == 0.0:
                 return 0.0
-            return math.exp((a - 1.0) * math.log(x)) * gx / b
+            return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)) * gx
 
-        total += _quad_piece(high, 0.0, 0.5**b, what)
-    else:
-        total += _quad_piece(plain, 0.5, 1.0, what)
-    return total
+        total = _quad_piece(lower, 0.0, 0.5, what)
+
+    def upper(s):
+        x = -math.expm1(-s)
+        gx = g(x, s)
+        if gx == 0.0:
+            return 0.0
+        return math.exp((a - 1.0) * math.log(x) - b * s) * gx
+
+    return total + _quad_piece(upper, math.log(2.0), math.inf, what)
 
 
 def _tail_sum(log_first, y, r, z):
@@ -307,23 +278,44 @@ def _tail_sum(log_first, y, r, z):
     return total
 
 
-def _log_series_remainder(y, zs, inv_zs):
-    """R_Z(y) = sum over z > Z of y^z / z, for 0 <= y < 1."""
+def _log_series_remainder(x, s, zs, inv_zs):
+    """R_Z(x) = sum over z > Z of x^z / z, for 0 <= x < 1 and s = -log(1-x)."""
     Z = len(zs)
-    if y <= 0.0:
+    if x <= 0.0:
         return 0.0
-    if y > 0.8:
-        partial = float(np.dot(np.power(y, zs), inv_zs))
-        return -math.log1p(-y) - partial
-    # r = 0.0 gives the ratio y (z - 1) / z, bit for bit
-    return _tail_sum((Z + 1) * math.log(y) - math.log(Z + 1), y, 0.0, Z + 1)
+    if x > 0.8:
+        return s - float(np.dot(np.power(x, zs), inv_zs))
+    # r = 0.0 gives the ratio x (z - 1) / z, bit for bit
+    return _tail_sum((Z + 1) * math.log(x) - math.log(Z + 1), x, 0.0, Z + 1)
 
 
-def _digamma_weighted_mass(params, t):
-    """sum_{z>=1} e^{-tz} pmf(z) for the digamma distribution."""
+def _bnb_damped_remainder(x, s, r, coefs_rev):
+    """(1-x)^r T_Z(x), T_Z(x) = sum over z > Z of (r)_z x^z / z!, s = -log(1-x).
+
+    Folding the (1-x)^r = e^{-rs} factor in keeps the value bounded as x -> 1,
+    where T_Z alone blows up like (1-x)^{-r}.
+    """
+    Z = len(coefs_rev) - 1
+    if x <= 0.0:
+        return 0.0
+    damp = math.exp(-r * s)
+    if x > 0.8:
+        partial = 0.0
+        for coef in coefs_rev:  # Horner, as np.polyval, without its per-step overhead
+            partial = partial * x + coef
+        # e^{-rs} (1-x)^{-r} is exactly 1
+        return 1.0 - damp * partial
+    log_first = (
+        log_rising_factorial(r, Z + 1) - math.lgamma(Z + 2) + (Z + 1) * math.log(x)
+    )
+    return damp * _tail_sum(log_first, x, r, Z + 1)
+
+
+def digamma_total_mass(params):
+    """Total p.m.f. mass (should be 1); the package's normalization oracle."""
     r, theta = params.r, params.theta
     log_xi = math.log(harmonic_gap(r, theta))
-    zs = np.arange(1, _head_length(t) + 1)
+    zs = np.arange(1, _HEAD_TERMS + 1)
     log_u = (
         gammaln(r + zs)
         - gammaln(r)
@@ -331,52 +323,15 @@ def _digamma_weighted_mass(params, t):
         + gammaln(r + theta)
         - np.log(zs)
     )
-    head_terms = np.exp(log_u - t * zs - log_xi)
-    head = float(head_terms.sum())
-    last = float(head_terms[-1])
-    if t > 0.0:
-        rho = math.exp(-t)
-        bound = last * rho / (1.0 - rho)
-        if bound < 1e-14:
-            return head
-    emt = math.exp(-t)
+    head = float(np.exp(log_u - log_xi).sum())
     inv_zs = 1.0 / zs
-    log_b = log_beta_fn(r, theta)
-
-    def remainder(x):
-        return _log_series_remainder(x * emt, zs, inv_zs)
-
     tail = _beta_weighted_integral(
-        r, theta, remainder, f"digamma tail at {params!r}, t={t!r}"
+        r,
+        theta,
+        lambda x, s: _log_series_remainder(x, s, zs, inv_zs),
+        f"digamma tail at {params!r}",
     )
-    return head + math.exp(-log_xi - log_b) * tail
-
-
-def _bnb_damped_remainder(x, r, coefs_rev):
-    """(1-x)^r T_Z(x), T_Z(y) = sum over z > Z of (r)_z y^z / z!.
-
-    Folding the (1-x)^r factor in keeps the value bounded as x -> 1, where
-    T_Z alone blows up like (1-x)^{-r}.
-    """
-    Z = len(coefs_rev) - 1
-    if x <= 0.0:
-        return 0.0
-    damp = r * math.log1p(-x)
-    if x > 0.8:
-        partial = 0.0
-        for coef in coefs_rev:  # Horner, as np.polyval, without its per-step overhead
-            partial = partial * x + coef
-        # (1-x)^r (1-x)^{-r} is exactly 1.0
-        return 1.0 - math.exp(damp) * partial
-    log_first = (
-        log_rising_factorial(r, Z + 1) - math.lgamma(Z + 2) + (Z + 1) * math.log(x)
-    )
-    return math.exp(damp) * _tail_sum(log_first, x, r, Z + 1)
-
-
-def digamma_total_mass(params):
-    """Total p.m.f. mass (should be 1); the package's normalization oracle."""
-    return _digamma_weighted_mass(params, 0.0)
+    return head + math.exp(-log_xi - log_beta_fn(r, theta)) * tail
 
 
 def bnb_total_mass(params):
@@ -390,66 +345,9 @@ def bnb_total_mass(params):
     )
     coefs_rev = np.exp(log_u)[::-1].tolist()
     tail = _beta_weighted_integral(
-        a, b, lambda x: _bnb_damped_remainder(x, r, coefs_rev), f"BNB tail at {params!r}"
+        a,
+        b,
+        lambda x, s: _bnb_damped_remainder(x, s, r, coefs_rev),
+        f"BNB tail at {params!r}",
     )
     return float(head_terms.sum()) + math.exp(-log_b_ab) * tail
-
-
-def nb_total_mass(params):
-    """Total NB mass by plain geometric-tail truncation (valid: ratio -> p < 1)."""
-    if params.p == 1.0:
-        raise ValueError("nb_total_mass is undefined at p = 1")
-    r, p = params.r, params.p
-    total = 0.0
-    term = math.exp(r * math.log1p(-p))  # z = 0
-    z = 0
-    while True:
-        total += term
-        z += 1
-        term *= p * (r + z - 1) / z
-        rho = p * max(1.0, (r + z) / (z + 1))
-        if rho < 1.0 and term * rho / (1.0 - rho) < 1e-14:
-            return total + term
-        if z > 10**7:
-            raise RuntimeError(f"nb_total_mass failed to converge at {params!r}")
-
-
-# ---------------------------------------------------------------------------
-# Laplace transform
-
-
-def _digamma_laplace_quadrature(params, t):
-    """1 - (1/xi) int_0^1 [1 - ((1-p)/(1-p e^{-t}))^r] p^{-1} (1-p)^{theta-1} dp."""
-    r, theta = params.r, params.theta
-    xi = harmonic_gap(r, theta)
-    emt = math.exp(-t)
-
-    def bracket_over_p(p):
-        # -> r (1 - e^{-t}) as p -> 0, so the integrand carries no pole.
-        rho = r * (math.log1p(-p) - math.log1p(-p * emt))
-        return -math.expm1(rho) / p
-
-    val = _beta_weighted_integral(
-        1.0, theta, bracket_over_p, f"Laplace quadrature at {params!r}, t={t!r}"
-    )
-    return 1.0 - val / xi
-
-
-def digamma_laplace(params, t):
-    """E[e^{-t Z}] for Z digamma-distributed, t >= 0.
-
-    Evaluated two ways, a truncated series with an exact integral tail and a
-    direct quadrature of the mixed-geometric representation; the series value
-    is returned and a disagreement beyond 1e-8 (quadrature non-convergence)
-    raises.
-    """
-    if t < 0.0:
-        raise ValueError(f"digamma_laplace needs t >= 0, got {t!r}")
-    series = _digamma_weighted_mass(params, t)
-    by_quad = _digamma_laplace_quadrature(params, t)
-    if abs(series - by_quad) > 1e-8:
-        raise RuntimeError(
-            f"Laplace routes disagree at {params!r}, t={t!r}: "
-            f"series={series!r}, quadrature={by_quad!r}"
-        )
-    return series

@@ -37,7 +37,6 @@ __all__ = [
     "predictive_step",
     "nbibp_simulate",
     "bnbp_sample_finitary",
-    "truncated_weight_mass",
     "truncated_oracle_simulate",
 ]
 
@@ -134,15 +133,6 @@ def _weight_integrals(c, epsilon):
             raise RuntimeError(f"weight-measure quadrature failed near 0: abserr={out[1]!r}")
         i_low = out[0]
     return i_low, i_high
-
-
-def truncated_weight_mass(hp, epsilon):
-    """Expected atom count with weight above epsilon:
-    c T int_epsilon^1 p^{-1} (1-p)^{c-1} dp."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    i_low, i_high = _weight_integrals(hp.c, epsilon)
-    return hp.c * hp.T * (i_low + i_high)
 
 
 def _draw_weight(c, epsilon, i_low, i_high, rng):

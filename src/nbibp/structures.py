@@ -32,8 +32,6 @@ __all__ = [
     "FeatureArray",
     "CombStruct",
     "from_array",
-    "left_order",
-    "uniform_label",
     "ordering_count",
     "project",
     "log_pmf_struct",
@@ -146,25 +144,6 @@ def from_array(arr):
     if arr.n < 1:
         raise ValueError("from_array needs at least one row")
     return CombStruct(arr.n, dict(Counter(arr.columns)))
-
-
-def left_order(arr):
-    """The canonical representative: columns sorted ascending."""
-    return FeatureArray(arr.n, tuple(sorted(arr.columns)))
-
-
-def uniform_label(struct, rng):
-    """A FeatureArray whose column order is uniform over the distinguishable orderings.
-
-    Permuting the expanded column list uniformly does the job: orderings that
-    coincide (because equal columns are interchangeable) absorb equally many
-    permutations, so each distinguishable ordering is equally likely.
-    """
-    expanded = []
-    for h, m in struct.items_sorted():
-        expanded.extend([h] * m)
-    order = rng.permutation(len(expanded))
-    return FeatureArray(struct.n, tuple(expanded[i] for i in order))
 
 
 def ordering_count(struct):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from nbibp import generative
-from nbibp.distributions import bnb_mean, BnbParams, digamma_mean, DigammaParams
+from nbibp.distributions import BnbParams, DigammaParams, bnb_log_pmf, digamma_log_pmf
 from nbibp.generative import (
     _draw_weight,
     _weight_integrals,
@@ -13,7 +13,6 @@ from nbibp.generative import (
     nbibp_simulate,
     predictive_step,
     truncated_oracle_simulate,
-    truncated_weight_mass,
 )
 from nbibp.numerics import RngStream, harmonic_gap
 from nbibp.structures import FeatureArray, Hyperparams, from_array
@@ -130,19 +129,21 @@ class TestFinitary:
         hp = Hyperparams(2.0, 3.0, 0.5)
         reps = 10_000
         rng = RngStream(26, 0)
-        kappas, fixed_draws = [], []
+        kappas, fixed_draws = [], Counter()
         for _ in range(reps):
             fixed, diffuse = bnbp_sample_finitary(hp, rng, fixed_atoms=(0.25,))
             kappas.append(len(diffuse))
-            fixed_draws.append(fixed[0])
+            fixed_draws[fixed[0]] += 1
         lam = hp.c * hp.T * harmonic_gap(hp.r, hp.c)
         mean_k = sum(kappas) / reps
         assert abs(mean_k - lam) < 3.0 * math.sqrt(lam / reps)
         # fixed atom count is BNB(r, c b, c (1 - b))
-        want = bnb_mean(BnbParams(hp.r, hp.c * 0.25, hp.c * 0.75))
-        mean_f = sum(fixed_draws) / reps
-        var_f = sum((z - mean_f) ** 2 for z in fixed_draws) / (reps - 1)
-        assert abs(mean_f - want) < 3.0 * math.sqrt(var_f / reps)
+        law = BnbParams(hp.r, hp.c * 0.25, hp.c * 0.75)
+        p, cells, _ = gof_chi_square(
+            fixed_draws, lambda z: math.exp(bnb_log_pmf(law, z)), reps
+        )
+        assert cells >= 5
+        assert p > 1e-3
 
     def test_diffuse_count_law(self):
         hp = Hyperparams(1.0, 3.0, 2.0)
@@ -155,18 +156,26 @@ class TestFinitary:
             for z in diffuse:
                 draws[z] += 1
                 total += 1
-        # each diffuse count is digamma(r, c); mean r/((c-1) xi)
+        # each diffuse count is digamma(r, c)
         law = DigammaParams(hp.r, hp.c)
-        mean = sum(z * m for z, m in draws.items()) / total
-        want = digamma_mean(law)
-        assert abs(mean - want) < 0.1
+        p, cells, _ = gof_chi_square(
+            draws, lambda z: math.exp(digamma_log_pmf(law, z)), total
+        )
+        assert cells >= 5
+        assert p > 1e-3
 
 
 class TestWeightMeasure:
+    @staticmethod
+    def mass(hp, epsilon):
+        # expected atom count above epsilon, as truncated_oracle_simulate draws it
+        i_low, i_high = _weight_integrals(hp.c, epsilon)
+        return hp.c * hp.T * (i_low + i_high)
+
     def test_unit_concentration_log_tail(self):
         hp = Hyperparams(1.0, 1.0, 1.0)
-        assert truncated_weight_mass(hp, 0.5) == pytest.approx(math.log(2.0), rel=1e-10)
-        assert truncated_weight_mass(hp, math.exp(-1.0)) == pytest.approx(1.0, rel=1e-10)
+        assert self.mass(hp, 0.5) == pytest.approx(math.log(2.0), rel=1e-10)
+        assert self.mass(hp, math.exp(-1.0)) == pytest.approx(1.0, rel=1e-10)
 
     def test_concentration_two_closed_form(self):
         # c = 2: c T int p^{-1} (1-p) dp = 2 T (log(1/eps) - (1 - eps))
@@ -174,13 +183,13 @@ class TestWeightMeasure:
             hp = Hyperparams(1.0, 2.0, T)
             for eps in (0.1, 0.01, 0.6):
                 want = 2.0 * T * (math.log(1.0 / eps) - (1.0 - eps))
-                assert truncated_weight_mass(hp, eps) == pytest.approx(want, rel=1e-10)
+                assert self.mass(hp, eps) == pytest.approx(want, rel=1e-10)
 
     def test_epsilon_range(self):
         hp = Hyperparams(1.0, 1.0, 1.0)
         for bad in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(ValueError):
-                truncated_weight_mass(hp, bad)
+                truncated_oracle_simulate(2, hp, bad, RngStream(29, 0))
 
     def test_weight_sampler_law(self):
         c, eps = 2.5, 0.05

@@ -1,6 +1,8 @@
-"""The package's public surface: its export list, and every name the
-benchmark's span tracer (perfbench/spans.py) wraps."""
+"""The package's public surface: its export list, a caller in the package or
+the benchmark for every exported name, and every name the benchmark's span
+tracer (perfbench/spans.py) wraps."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -10,15 +12,14 @@ import nbibp.cli  # the tracer reaches cli.main; the package does not import it
 # The recorded export set: adding or dropping a public name means editing it.
 EXPORTS = {
     "RngStream", "digamma_fn", "harmonic_gap", "log_beta_fn", "log_rising_factorial",
-    "BnbParams", "DigammaParams", "NbParams", "bnb_log_pmf", "bnb_mean", "bnb_sample",
-    "bnb_total_mass", "digamma_laplace", "digamma_log_pmf", "digamma_mean",
-    "digamma_sample", "digamma_sample_rounds", "digamma_total_mass", "nb_log_pmf",
-    "nb_sample", "nb_total_mass",
+    "BnbParams", "DigammaParams", "NbParams", "bnb_log_pmf", "bnb_sample",
+    "bnb_total_mass", "digamma_log_pmf", "digamma_sample", "digamma_sample_rounds",
+    "digamma_total_mass", "nb_log_pmf", "nb_sample",
     "CombStruct", "FeatureArray", "Hyperparams", "array_from_json", "array_to_json",
-    "from_array", "left_order", "log_pmf_array", "log_pmf_struct", "ordering_count",
-    "project", "struct_from_json", "struct_to_json", "uniform_label",
+    "from_array", "log_pmf_array", "log_pmf_struct", "ordering_count", "project",
+    "struct_from_json", "struct_to_json",
     "bnbp_sample_finitary", "nbibp_simulate", "predictive_step",
-    "truncated_oracle_simulate", "truncated_weight_mass",
+    "truncated_oracle_simulate",
     "ChainConfig", "ChainState", "HyperPrior", "PoissonFactorModel", "chain_record",
     "log_joint", "prior_state", "resample_counts", "run_chain", "sweep_once",
     "update_c_r", "update_entry", "update_mass_T", "update_singletons", "update_theta",
@@ -26,7 +27,17 @@ EXPORTS = {
     "__version__",
 }
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+# Exported names that no package or benchmark code calls, kept because tests
+# compare against them.
+ORACLES = {
+    # the struct p.m.f. is the array p.m.f. plus this log ordering count
+    "ordering_count",
+    # the exact law that nb_sample, behind `sample --dist nb`, is checked against
+    "nb_log_pmf",
+}
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_export_list():
@@ -45,6 +56,55 @@ def test_submodule_export_lists():
         assert len(names) == len(set(names)), mod
         missing = [name for name in names if not hasattr(module, name)]
         assert missing == [], (mod, missing)
+
+
+class Uses(ast.NodeVisitor):
+    """Identifiers a file uses: loaded names, attribute names, and string
+    constants equal to an identifier (the span tracer names its targets so).
+    Definitions, imports, `__all__` lists and a name's use inside its own
+    definition are not uses."""
+
+    def __init__(self):
+        self.names = set()
+        self.inside = []
+
+    def visit_FunctionDef(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def visit_Assign(self, node):
+        if not any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            self.generic_visit(node)
+
+    def use(self, name):
+        if name not in self.inside:
+            self.names.add(name)
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.use(node.id)
+
+    def visit_Attribute(self, node):
+        self.use(node.attr)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and node.value.isidentifier():
+            self.use(node.value)
+
+
+def test_every_export_has_a_caller():
+    # test-only API would grow back unseen; __version__ is metadata, not code
+    uses = Uses()
+    for path in sorted((ROOT / "src" / "nbibp").glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py")
+    ):
+        uses.visit(ast.parse(path.read_text()))
+    unused = {name for name in nbibp.__all__ if not name.startswith("__")} - uses.names
+    assert unused == ORACLES
 
 
 def load_spans():

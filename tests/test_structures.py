@@ -11,7 +11,7 @@ from nbibp.distributions import (
     bnb_log_pmf,
     digamma_log_pmf,
 )
-from nbibp.numerics import RngStream, digamma_fn
+from nbibp.numerics import digamma_fn
 from nbibp.structures import (
     CombStruct,
     FeatureArray,
@@ -19,16 +19,13 @@ from nbibp.structures import (
     array_from_json,
     array_to_json,
     from_array,
-    left_order,
     log_pmf_array,
     log_pmf_struct,
     ordering_count,
     project,
     struct_from_json,
     struct_to_json,
-    uniform_label,
 )
-from nbibp.validation import gof_chi_square
 
 
 def columns_strategy(n):
@@ -76,10 +73,6 @@ class TestContainers:
         struct = from_array(arr)
         assert struct.counts == {(1, 0): 2, (0, 2): 1}
         assert struct.kappa == 3
-
-    def test_left_order_sorts(self):
-        arr = FeatureArray(2, ((1, 0), (0, 2), (1, 0)))
-        assert left_order(arr).columns == ((0, 2), (1, 0), (1, 0))
 
     def test_ordering_count_small(self):
         struct = CombStruct(2, {(1, 0): 2, (0, 2): 1})
@@ -221,27 +214,13 @@ class TestProjection:
             with pytest.raises(ValueError):
                 project(one, bad)
 
-
-class TestLabeling:
-    def test_round_trip(self):
-        struct = CombStruct(2, {(1, 0): 2, (0, 2): 1, (1, 1): 1})
-        rng = RngStream(3, 0)
-        for _ in range(20):
-            arr = uniform_label(struct, rng)
-            assert from_array(arr) == struct
-
-    def test_orderings_uniform(self):
-        struct = CombStruct(2, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
-        rng = RngStream(4, 0)
-        reps = 6000
-        seen = {}
-        for _ in range(reps):
-            key = uniform_label(struct, rng).columns
-            seen[key] = seen.get(key, 0) + 1
-        assert len(seen) == 6
-        p, cells, _ = gof_chi_square(seen, lambda _: 1.0 / 6.0, reps)
-        assert cells == 6
-        assert p > 1e-3
+    @given(arrays, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_projections_compose(self, arr, data):
+        struct = from_array(arr)
+        m = data.draw(st.integers(min_value=1, max_value=struct.n))
+        k = data.draw(st.integers(min_value=1, max_value=m))
+        assert project(project(struct, m), k) == project(struct, k)
 
 
 class TestSerialization:
