@@ -10,8 +10,8 @@ Kernels, in sweep order: per-entry MH with the exact prior-conditional
 proposal (so prior terms cancel and only the likelihood ratio remains), a
 per-row birth/death move for that row's singleton features, a conjugate
 Theta draw via multinomial allocation, an exact gamma draw for T, and slice
-updates for c and r.  Rejected proposals leave everything but the stream
-position untouched.
+updates for c and r on the array's sufficient statistics, built once per
+update.  Rejected proposals leave everything but the stream position untouched.
 
 A state the data rule out (a positive count on a zero rate) has log-likelihood
 -inf.  The MH moves accept any possible proposal from it, and the Theta draw
@@ -21,9 +21,12 @@ failing.
 At rest the chain holds W as a validated FeatureArray.  Within a sweep the
 entry and singleton passes run on an int64 n-by-kappa copy of W with its
 column sums, and W is rebuilt from it once, after both passes, if a move was
-accepted.  update_entry and update_singletons are single-move adapters over
-the same private kernels.  update_theta splits every positive count that has
-a positive rate in one multinomial call.
+accepted.  The entry pass goes row by row: it computes a row's rates
+W_i Theta once, scores each proposal from them in O(V), and keeps the rates
+of an accepted one.  update_entry (the row kernel on one column) and
+update_singletons (one row's birth/death move) exist for tests and tracing.
+update_theta splits every positive count that has a positive rate in one
+multinomial call.
 
 A model built with y=None has a constant likelihood: every acceptance ratio
 is one and Theta reverts to its prior.  The chain then targets the prior
@@ -36,10 +39,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .distributions import BnbParams, DigammaParams, bnb_sample, digamma_sample
+from .distributions import DigammaParams, _nb_draw, digamma_sample
 from .generative import nbibp_simulate
 from .numerics import harmonic_gap
-from .structures import FeatureArray, Hyperparams, log_pmf_array
+from .structures import FeatureArray, Hyperparams, _column_stats, _log_pmf_stats, log_pmf_array
 
 __all__ = [
     "PoissonFactorModel",
@@ -92,12 +95,10 @@ class PoissonFactorModel:
         self.a_theta = float(a_theta)
         self.b_theta = float(b_theta)
 
-    def row_loglik(self, i, w_row, theta):
-        """log p(y_i | w_row, theta); -inf when a zero rate meets a positive count."""
+    def row_loglik(self, i, rates):
+        """log p(y_i | rates); -inf when a zero rate meets a positive count."""
         if self.y is None:
             return 0.0
-        w = np.asarray(w_row, dtype=np.float64)
-        rates = w @ theta if w.size else np.zeros(self.V)
         ys = self.y[i]
         dead = rates <= 0.0
         if not dead.any():
@@ -111,7 +112,8 @@ class PoissonFactorModel:
     def loglik(self, w_mat, theta):
         if self.y is None:
             return 0.0
-        return sum(self.row_loglik(i, w_mat[i], theta) for i in range(self.n))
+        w_mat = np.asarray(w_mat, dtype=np.float64)
+        return sum(self.row_loglik(i, w_mat[i] @ theta) for i in range(self.n))
 
 
 @dataclass
@@ -217,32 +219,38 @@ def _accept(delta_new, delta_old, rng):
     return d >= 0.0 or rng.uniform() < math.exp(d)
 
 
-def _entry_move(state, model, M, sums, i, j):
-    """MH refresh of M[i, j] in place, column sums kept current; True on accept.
+def _entry_row(state, model, M, sums, i, cols):
+    """MH refresh of M[i, j] in place for each j in cols, in order, column
+    sums kept current; True if any proposal was accepted.
 
-    The proposal is the exact conditional of the entry under the array prior
+    Each proposal is the exact conditional of its entry under the array prior
     given everything else, so the acceptance ratio is the likelihood ratio
-    alone.  Column j must be expressed by some row other than i.
+    alone; every column in cols must be expressed by some row other than i.
+    A proposal is scored on the row rates plus (prop - old) Theta_j, or on
+    exact zero rates if it empties the row.
     """
-    hp = state.hp
-    old = M[i, j]
-    prop = bnb_sample(
-        BnbParams(hp.r, float(sums[j] - old), hp.c + (M.shape[0] - 1) * hp.r), state.rng
-    )
-    if prop == old:
-        return False
-    w_old = M[i].astype(np.float64)
-    w_new = w_old.copy()
-    w_new[j] = prop
-    if not _accept(
-        model.row_loglik(i, w_new, state.Theta),
-        model.row_loglik(i, w_old, state.Theta),
-        state.rng,
-    ):
-        return False
-    M[i, j] = prop
-    sums[j] += prop - old
-    return True
+    hp, rng, theta = state.hp, state.rng, state.Theta
+    tail = hp.c + (M.shape[0] - 1) * hp.r
+    row = M[i]
+    rates = None
+    moved = False
+    for j in cols:
+        old = row[j]
+        prop = _nb_draw(hp.r, rng.beta(float(sums[j] - old), tail), rng)
+        if prop == old:
+            continue
+        if rates is None:
+            rates = row.astype(np.float64) @ theta
+            ll = model.row_loglik(i, rates)
+        new_rates = rates + (prop - old) * theta[j]
+        if prop == 0 and np.count_nonzero(row) == 1:
+            new_rates = np.zeros_like(rates)
+        new_ll = model.row_loglik(i, new_rates)
+        if _accept(new_ll, ll, rng):
+            row[j] = prop
+            sums[j] += prop - old
+            rates, ll, moved = new_rates, new_ll, True
+    return moved
 
 
 def _singleton_move(state, model, M, sums, i):
@@ -280,8 +288,8 @@ def _singleton_move(state, model, M, sums, i):
     new_M[:, ~fresh] = M[:, keep]
     new_theta[~fresh] = state.Theta[keep]
     if not _accept(
-        model.row_loglik(i, new_M[i].astype(np.float64), new_theta),
-        model.row_loglik(i, row.astype(np.float64), state.Theta),
+        model.row_loglik(i, new_M[i].astype(np.float64) @ new_theta),
+        model.row_loglik(i, row.astype(np.float64) @ state.Theta),
         rng,
     ):
         return None
@@ -297,7 +305,7 @@ def update_entry(state, model, i, j):
         raise ValueError(
             f"entry ({i}, {j}) is a singleton of its row; the birth/death move owns it"
         )
-    if _entry_move(state, model, M, sums, i, j):
+    if _entry_row(state, model, M, sums, i, [j]):
         state.W = FeatureArray.from_matrix(M)
     return state
 
@@ -397,6 +405,7 @@ def update_c_r(state, c_prior=HyperPrior(), r_prior=HyperPrior()):
     A prior of None pins its parameter and skips the move.
     """
     hp = state.hp
+    stats = _column_stats(state.W.columns, state.W.n)
 
     def slice_move(x0, prior, hp_at):
         if prior is None:
@@ -406,7 +415,7 @@ def update_c_r(state, c_prior=HyperPrior(), r_prior=HyperPrior()):
             lp = prior.log_density(x)
             if lp == -math.inf:
                 return -math.inf
-            return lp + log_pmf_array(state.W, hp_at(x))
+            return lp + _log_pmf_stats(state.W.n, *stats, hp_at(x))
 
         return _slice_update(x0, target, state.rng)
 
@@ -427,9 +436,8 @@ def sweep_once(state, model, config=ChainConfig()):
     sums = M.sum(axis=0)
     moved = False
     for i in range(model.n):
-        for j in range(M.shape[1]):
-            if sums[j] > M[i, j]:
-                moved = _entry_move(state, model, M, sums, i, j) or moved
+        cols = np.flatnonzero(sums > M[i])
+        moved = _entry_row(state, model, M, sums, i, cols) or moved
     for i in range(model.n):
         out = _singleton_move(state, model, M, sums, i)
         if out is not None:

@@ -24,8 +24,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammaln
 
-from .numerics import digamma_fn, log_rising_factorial
+from .numerics import digamma_fn
 
 __all__ = [
     "Hyperparams",
@@ -167,43 +168,48 @@ def project(struct, n):
     return CombStruct(n, dict(out))
 
 
-def _log_column_factor(h, r, cnr):
-    """log of one column's clustering weight under concentration c + n r."""
-    s = sum(h)
-    out = math.lgamma(s) + math.lgamma(cnr) - math.lgamma(cnr + s)
-    for w in h:
-        if w:
-            out += log_rising_factorial(r, w) - math.lgamma(w + 1)
-    return out
+def _column_stats(columns, n):
+    """The column sums of length-n columns and the histogram of their entry
+    values, hist[w] = number of entries equal to w."""
+    mat = np.array(columns, dtype=np.int64).reshape(len(columns), n)
+    return mat.sum(axis=1), np.bincount(mat.ravel())
+
+
+def _log_pmf_stats(n, sums, hist, hp):
+    """log p.m.f. of an ordered n-row array from its column sums and the
+    histogram of its entry values (hist[0] is ignored).
+
+    Each column contributes its clustering weight under concentration
+    c + n r, log Gamma(s) + log Gamma(c+nr) - log Gamma(c+nr+s) for its sum s,
+    and each nonzero entry w adds log (r)_w - log w!.
+    """
+    r = hp.r
+    kappa = sums.size
+    cnr = hp.c + n * r
+    rate = hp.c * hp.T * (digamma_fn(cnr) - digamma_fn(hp.c))
+    out = kappa * (math.log(hp.c * hp.T) + math.lgamma(cnr)) - math.lgamma(kappa + 1) - rate
+    out += float(np.sum(gammaln(sums) - gammaln(cnr + sums)))
+    w, counts = np.arange(1, hist.size), hist[1:]
+    entries = counts @ (gammaln(r + w) - gammaln(w + 1.0)) - counts.sum() * math.lgamma(r)
+    return out + float(entries)
 
 
 def log_pmf_struct(struct, hp):
-    """Exact log probability of a combinatorial structure after n rows."""
-    n = struct.n
-    cnr = hp.c + n * hp.r
-    rate = hp.c * hp.T * (digamma_fn(cnr) - digamma_fn(hp.c))
-    log_ct = math.log(hp.c * hp.T)
-    out = -rate
-    for h, m in struct.counts.items():
-        out += m * (log_ct + _log_column_factor(h, hp.r, cnr)) - math.lgamma(m + 1)
-    return out
+    """Exact log probability of a combinatorial structure after n rows: the
+    array p.m.f. of any of its orderings plus the log ordering count."""
+    cols = [h for h, m in struct.counts.items() for _ in range(m)]
+    return _log_pmf_stats(struct.n, *_column_stats(cols, struct.n), hp) + ordering_count(struct)
 
 
 def log_pmf_array(arr, hp):
     """Exact log probability of an ordered array under uniform column labeling.
 
-    Equals log_pmf_struct of the collapsed structure minus the log ordering
-    count, and is invariant to column order.
+    Depends on the array only through n, its column sums and its entry
+    histogram, so it is invariant to column order.
     """
     if arr.n < 1:
         raise ValueError("log_pmf_array needs at least one row")
-    n = arr.n
-    cnr = hp.c + n * hp.r
-    rate = hp.c * hp.T * (digamma_fn(cnr) - digamma_fn(hp.c))
-    out = arr.kappa * math.log(hp.c * hp.T) - math.lgamma(arr.kappa + 1) - rate
-    for col in arr.columns:
-        out += _log_column_factor(col, hp.r, cnr)
-    return out
+    return _log_pmf_stats(arr.n, *_column_stats(arr.columns, arr.n), hp)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,15 @@ import pytest
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import lognorm
 
-from nbibp.distributions import BnbParams, bnb_log_pmf
+import nbibp.inference as inference
+from nbibp.distributions import BnbParams, bnb_log_pmf, bnb_sample
 from nbibp.inference import (
     ChainConfig,
     ChainState,
     HyperPrior,
     PoissonFactorModel,
+    _accept,
+    _entry_row,
     _slice_update,
     chain_record,
     log_joint,
@@ -60,6 +63,46 @@ def theta_reference(state, model):
     return state.rng.gamma_array(shape, 1.0 / rate)
 
 
+def entry_reference(state, model, M, sums, i, j):
+    """The per-entry move that _entry_row replaces, kept as its oracle: both
+    row log-likelihoods come from a fresh mat-vec at every proposal that
+    differs from its entry.  True on accept."""
+    hp = state.hp
+    old = M[i, j]
+    prop = bnb_sample(
+        BnbParams(hp.r, float(sums[j] - old), hp.c + (M.shape[0] - 1) * hp.r), state.rng
+    )
+    if prop == old:
+        return False
+    w_old = M[i].astype(np.float64)
+    w_new = w_old.copy()
+    w_new[j] = prop
+    if not _accept(
+        model.row_loglik(i, w_new @ state.Theta),
+        model.row_loglik(i, w_old @ state.Theta),
+        state.rng,
+    ):
+        return False
+    M[i, j] = prop
+    sums[j] += prop - old
+    return True
+
+
+def entry_pass(state, model, reference=False):
+    """One entry pass in sweep order, by _entry_row per row or, as the
+    oracle, by entry_reference per entry; the final (M, column sums)."""
+    M = state.W.to_matrix()
+    sums = M.sum(axis=0)
+    for i in range(model.n):
+        if not reference:
+            _entry_row(state, model, M, sums, i, np.flatnonzero(sums > M[i]))
+            continue
+        for j in range(M.shape[1]):
+            if sums[j] > M[i, j]:
+                entry_reference(state, model, M, sums, i, j)
+    return M, sums
+
+
 def planted_state(n, V, K, seed, hp=Hyperparams(1.0, 1.0, 2.0)):
     """A state at planted truth and its data: W has every column used,
     Theta ~ Gamma(1, 1) and y ~ Poisson(W Theta)."""
@@ -72,13 +115,29 @@ def planted_state(n, V, K, seed, hp=Hyperparams(1.0, 1.0, 2.0)):
     return state, PoissonFactorModel(g.poisson(W @ theta))
 
 
+def emptying_state():
+    """A planted n=40 state whose row 0 holds one count and expresses two
+    shared columns, the first with a small factor row.  On this seed the
+    entry pass drops the first column and then proposes to empty the row,
+    after an accept has left rounding residue in the row's cached rates."""
+    state, model = planted_state(40, 15, 8, 11)
+    M, y, theta = state.W.to_matrix(), model.y.copy(), state.Theta.copy()
+    M[0] = 0
+    M[0, :2] = 1
+    y[0] = 0
+    y[0, 0] = 1
+    theta[0] *= 0.01
+    W = FeatureArray.from_matrix(M)
+    return ChainState(W, theta, state.hp, (1.0, 1.0), RngStream(11, 0)), PoissonFactorModel(y)
+
+
 class TestModel:
     def test_flat_needs_shape(self):
         with pytest.raises(ValueError):
             PoissonFactorModel()
         m = PoissonFactorModel(n=2, V=3)
         assert m.loglik(None, None) == 0.0
-        assert m.row_loglik(0, [1.0], None) == 0.0
+        assert m.row_loglik(0, np.ones(3)) == 0.0
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -90,13 +149,14 @@ class TestModel:
 
     def test_impossible_data(self):
         m = PoissonFactorModel([[2]])
-        assert m.row_loglik(0, np.zeros(0), np.zeros((0, 1))) == -math.inf
+        assert m.row_loglik(0, np.zeros(1)) == -math.inf
+        assert m.loglik(np.zeros((1, 0)), np.zeros((0, 1))) == -math.inf
         m0 = PoissonFactorModel([[0]])
-        assert m0.row_loglik(0, np.zeros(0), np.zeros((0, 1))) == 0.0
+        assert m0.row_loglik(0, np.zeros(1)) == 0.0
 
     def test_poisson_row(self):
         m = PoissonFactorModel([[3]])
-        got = m.row_loglik(0, np.array([1.0]), np.array([[2.0]]))
+        got = m.row_loglik(0, np.array([2.0]))
         want = 3 * math.log(2.0) - 2.0 - math.log(6.0)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -188,6 +248,37 @@ class TestEntryKernel:
                     pa**2 * qa * (1 - qa) / reps + pb**2 * qb * (1 - qb) / reps
                 )
                 assert abs(flux_a - flux_b) < 4.0 * se + 1e-12, (z, zp)
+
+    @pytest.mark.parametrize("seed", [134, 135, 136])
+    def test_row_pass_matches_reference(self, seed):
+        state, model = planted_state(40, 15, 8, seed)
+        twin, _ = planted_state(40, 15, 8, seed)
+        got = entry_pass(state, model)
+        want = entry_pass(twin, model, reference=True)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert state.rng.uniform() == twin.rng.uniform()  # same stream position
+
+    def test_emptied_row_scores_on_zero_rates(self):
+        # scored from cached rates, the proposal that empties row 0 would see
+        # positive residue instead of zero rates under its count, read a
+        # finite log-likelihood and draw a uniform the reference never draws
+        state, model = emptying_state()
+        twin, _ = emptying_state()
+        row_loglik = model.row_loglik
+        emptied = []
+
+        def watched(i, rates):
+            out = row_loglik(i, rates)
+            if i == 0 and not rates.any():
+                emptied.append(out)
+            return out
+
+        model.row_loglik = watched
+        got = entry_pass(state, model)
+        assert emptied == [-math.inf]
+        want = entry_pass(twin, model, reference=True)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert state.rng.uniform() == twin.rng.uniform()
 
 
 class TestSingletonKernel:
@@ -360,6 +451,37 @@ class TestSweepStructure:
         assert state.W is not W  # some move was accepted, so W was rebuilt
         assert calls["array"] == 1
         assert calls["multinomial"] == 1
+
+    def test_entry_pass_scores_each_differing_proposal_once(self, monkeypatch):
+        # the reference scores a differing proposal with two row_loglik
+        # calls; the row kernel needs one, plus one for the row's own rates
+        state, model = planted_state(40, 15, 8, 134)
+        twin, _ = planted_state(40, 15, 8, 134)
+        calls = Counter()
+        where = ["reference"]
+        row_loglik = model.row_loglik
+        entry_row = inference._entry_row
+
+        def counted_row_loglik(i, rates):
+            calls[where[0]] += 1
+            return row_loglik(i, rates)
+
+        def counted_entry_row(*args):
+            calls["rows"] += 1
+            where[0] = "entry"
+            try:
+                return entry_row(*args)
+            finally:
+                where[0] = "other"
+
+        monkeypatch.setattr(model, "row_loglik", counted_row_loglik)
+        entry_pass(twin, model, reference=True)
+        differing = calls["reference"] // 2
+        monkeypatch.setattr(inference, "_entry_row", counted_entry_row)
+        sweep_once(state, model, ChainConfig())
+        assert calls["rows"] == model.n
+        assert differing > model.n  # two calls per proposal would break the bound
+        assert calls["entry"] <= model.n + differing
 
 
 class TestMassKernel:

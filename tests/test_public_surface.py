@@ -30,8 +30,6 @@ EXPORTS = {
 # Exported names that no package or benchmark code calls, kept because tests
 # compare against them.
 ORACLES = {
-    # the struct p.m.f. is the array p.m.f. plus this log ordering count
-    "ordering_count",
     # the exact law that nb_sample, behind `sample --dist nb`, is checked against
     "nb_log_pmf",
 }

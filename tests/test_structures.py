@@ -11,7 +11,7 @@ from nbibp.distributions import (
     bnb_log_pmf,
     digamma_log_pmf,
 )
-from nbibp.numerics import digamma_fn
+from nbibp.numerics import digamma_fn, log_rising_factorial
 from nbibp.structures import (
     CombStruct,
     FeatureArray,
@@ -37,6 +37,22 @@ def columns_strategy(n):
 arrays = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: columns_strategy(n).map(lambda cols: FeatureArray(n, cols))
 )
+
+
+def column_loop_log_pmf(arr, hp):
+    """The per-column, per-entry loop that log_pmf_array evaluates on
+    sufficient statistics, kept as its oracle."""
+    n = arr.n
+    cnr = hp.c + n * hp.r
+    rate = hp.c * hp.T * (digamma_fn(cnr) - digamma_fn(hp.c))
+    out = arr.kappa * math.log(hp.c * hp.T) - math.lgamma(arr.kappa + 1) - rate
+    for col in arr.columns:
+        s = sum(col)
+        out += math.lgamma(s) + math.lgamma(cnr) - math.lgamma(cnr + s)
+        for w in col:
+            if w:
+                out += log_rising_factorial(hp.r, w) - math.lgamma(w + 1)
+    return out
 
 
 class TestContainers:
@@ -143,6 +159,13 @@ class TestPmfInvariances:
         assert log_pmf_struct(struct, self.HP) == pytest.approx(
             log_pmf_array(arr, self.HP) + ordering_count(struct), abs=1e-12
         )
+
+
+    @given(arrays, *[st.floats(min_value=0.05, max_value=10.0)] * 3)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_column_loop(self, arr, r, c, T):
+        hp = Hyperparams(r, c, T)
+        assert log_pmf_array(arr, hp) == pytest.approx(column_loop_log_pmf(arr, hp), rel=1e-12)
 
 
 class TestEnumerationOracles:
