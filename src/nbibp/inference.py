@@ -22,9 +22,9 @@ At rest the chain holds W as a validated FeatureArray.  Within a sweep the
 entry and singleton passes run on an int64 n-by-kappa copy of W with its
 column sums, and W is rebuilt from it once, after both passes, if a move was
 accepted.  The entry pass goes row by row: it computes a row's rates
-W_i Theta once, scores each proposal from them in O(V), and keeps the rates
-of an accepted one.  update_entry (the row kernel on one column) and
-update_singletons (one row's birth/death move) exist for tests and tracing.
+W_i Theta once, moves them in O(V) for a proposal that keeps its entry
+positive, and keeps the rates of an accepted one.  update_entry (the row
+kernel on one column) and update_singletons exist for tests and tracing.
 update_theta splits every positive count that has a positive rate in one
 multinomial call.
 
@@ -42,7 +42,7 @@ from scipy.special import gammaln
 from .distributions import DigammaParams, _nb_draw, digamma_sample
 from .generative import nbibp_simulate
 from .numerics import harmonic_gap
-from .structures import FeatureArray, Hyperparams, _column_stats, _log_pmf_stats, log_pmf_array
+from .structures import FeatureArray, Hyperparams, _log_pmf_of, log_pmf_array
 
 __all__ = [
     "PoissonFactorModel",
@@ -226,14 +226,13 @@ def _entry_row(state, model, M, sums, i, cols):
     Each proposal is the exact conditional of its entry under the array prior
     given everything else, so the acceptance ratio is the likelihood ratio
     alone; every column in cols must be expressed by some row other than i.
-    A proposal is scored on the row rates plus (prop - old) Theta_j, or on
-    exact zero rates if it empties the row.
+    A proposal is scored on the row rates plus (prop - old) Theta_j, or on a
+    fresh mat-vec if it zeroes its entry, so an unsupported rate reads 0.
     """
     hp, rng, theta = state.hp, state.rng, state.Theta
     tail = hp.c + (M.shape[0] - 1) * hp.r
     row = M[i]
-    rates = None
-    moved = False
+    rates, moved = None, False
     for j in cols:
         old = row[j]
         prop = _nb_draw(hp.r, rng.beta(float(sums[j] - old), tail), rng)
@@ -242,9 +241,12 @@ def _entry_row(state, model, M, sums, i, cols):
         if rates is None:
             rates = row.astype(np.float64) @ theta
             ll = model.row_loglik(i, rates)
-        new_rates = rates + (prop - old) * theta[j]
-        if prop == 0 and np.count_nonzero(row) == 1:
-            new_rates = np.zeros_like(rates)
+        if prop:
+            new_rates = rates + (prop - old) * theta[j]
+        else:  # exact zeros where no expressed feature has a positive factor
+            w = row.astype(np.float64)
+            w[j] = 0.0
+            new_rates = w @ theta
         new_ll = model.row_loglik(i, new_rates)
         if _accept(new_ll, ll, rng):
             row[j] = prop
@@ -405,7 +407,7 @@ def update_c_r(state, c_prior=HyperPrior(), r_prior=HyperPrior()):
     A prior of None pins its parameter and skips the move.
     """
     hp = state.hp
-    stats = _column_stats(state.W.columns, state.W.n)
+    log_pmf = _log_pmf_of(state.W.n, state.W.columns)
 
     def slice_move(x0, prior, hp_at):
         if prior is None:
@@ -415,7 +417,7 @@ def update_c_r(state, c_prior=HyperPrior(), r_prior=HyperPrior()):
             lp = prior.log_density(x)
             if lp == -math.inf:
                 return -math.inf
-            return lp + _log_pmf_stats(state.W.n, *stats, hp_at(x))
+            return lp + log_pmf(hp_at(x))
 
         return _slice_update(x0, target, state.rng)
 

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betaln
 
 from .numerics import digamma_fn
 
@@ -168,37 +168,36 @@ def project(struct, n):
     return CombStruct(n, dict(out))
 
 
-def _column_stats(columns, n):
-    """The column sums of length-n columns and the histogram of their entry
-    values, hist[w] = number of entries equal to w."""
-    mat = np.array(columns, dtype=np.int64).reshape(len(columns), n)
-    return mat.sum(axis=1), np.bincount(mat.ravel())
+def _log_pmf_of(n, columns):
+    """hp -> log p.m.f. of the ordered n-row array with these columns.
 
-
-def _log_pmf_stats(n, sums, hist, hp):
-    """log p.m.f. of an ordered n-row array from its column sums and the
-    histogram of its entry values (hist[0] is ignored).
-
-    Each column contributes its clustering weight under concentration
-    c + n r, log Gamma(s) + log Gamma(c+nr) - log Gamma(c+nr+s) for its sum s,
-    and each nonzero entry w adds log (r)_w - log w!.
+    The p.m.f. depends on the array only through n, its column sums and the
+    counts of its distinct nonzero entry values, so these are taken once and
+    each call costs O(kappa + distinct values).  Each column contributes its
+    clustering weight under concentration c + n r, log B(s, c + n r) for its
+    sum s, and each nonzero entry w adds log (r)_w - log w!, which is
+    -log B(r, w + 1) - log(r + w).  Beta functions stay accurate at huge
+    entries (10**12 and up), where differences of log-gammas lose digits.
     """
-    r = hp.r
-    kappa = sums.size
-    cnr = hp.c + n * r
-    rate = hp.c * hp.T * (digamma_fn(cnr) - digamma_fn(hp.c))
-    out = kappa * (math.log(hp.c * hp.T) + math.lgamma(cnr)) - math.lgamma(kappa + 1) - rate
-    out += float(np.sum(gammaln(sums) - gammaln(cnr + sums)))
-    w, counts = np.arange(1, hist.size), hist[1:]
-    entries = counts @ (gammaln(r + w) - gammaln(w + 1.0)) - counts.sum() * math.lgamma(r)
-    return out + float(entries)
+    sums = np.array([float(sum(col)) for col in columns])
+    hist = sorted(Counter(w for col in columns for w in col if w).items())
+    values, counts = np.array(hist, dtype=np.float64).reshape(-1, 2).T
+
+    def log_pmf(hp):
+        r, cnr = hp.r, hp.c + n * hp.r
+        rate = hp.c * hp.T * (digamma_fn(cnr) - digamma_fn(hp.c))
+        out = sums.size * math.log(hp.c * hp.T) - math.lgamma(sums.size + 1) - rate
+        out += float(np.sum(betaln(sums, cnr)))
+        return out - float(counts @ (betaln(r, values + 1.0) + np.log(r + values)))
+
+    return log_pmf
 
 
 def log_pmf_struct(struct, hp):
     """Exact log probability of a combinatorial structure after n rows: the
     array p.m.f. of any of its orderings plus the log ordering count."""
     cols = [h for h, m in struct.counts.items() for _ in range(m)]
-    return _log_pmf_stats(struct.n, *_column_stats(cols, struct.n), hp) + ordering_count(struct)
+    return _log_pmf_of(struct.n, cols)(hp) + ordering_count(struct)
 
 
 def log_pmf_array(arr, hp):
@@ -209,7 +208,7 @@ def log_pmf_array(arr, hp):
     """
     if arr.n < 1:
         raise ValueError("log_pmf_array needs at least one row")
-    return _log_pmf_stats(arr.n, *_column_stats(arr.columns, arr.n), hp)
+    return _log_pmf_of(arr.n, arr.columns)(hp)
 
 
 # ---------------------------------------------------------------------------

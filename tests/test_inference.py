@@ -131,6 +131,24 @@ def emptying_state():
     return ChainState(W, theta, state.hp, (1.0, 1.0), RngStream(11, 0)), PoissonFactorModel(y)
 
 
+def dead_cell_state():
+    """A planted n=40 state whose row 0 holds one count, at v=0, and expresses
+    three shared columns; the third has Theta_{2,0} = 0, as a gamma draw
+    that underflows leaves it.  On this seed the entry pass drops the first
+    column and proposes to drop the second while the third keeps the row
+    nonempty, so the rate under the count must read exactly zero."""
+    state, model = planted_state(40, 15, 8, 6)
+    M, y = state.W.to_matrix(), model.y.copy()
+    M[0] = 0
+    M[0, :3] = 1
+    y[0] = 0
+    y[0, 0] = 1
+    W = FeatureArray.from_matrix(M)
+    state = ChainState(W, state.Theta.copy(), state.hp, (1.0, 1.0), RngStream(6, 0))
+    state.Theta[2:, 0] = 0.0
+    return state, PoissonFactorModel(y)
+
+
 class TestModel:
     def test_flat_needs_shape(self):
         with pytest.raises(ValueError):
@@ -259,26 +277,29 @@ class TestEntryKernel:
         assert state.rng.uniform() == twin.rng.uniform()  # same stream position
 
     def test_emptied_row_scores_on_zero_rates(self):
-        # scored from cached rates, the proposal that empties row 0 would see
-        # positive residue instead of zero rates under its count, read a
-        # finite log-likelihood and draw a uniform the reference never draws
-        state, model = emptying_state()
-        twin, _ = emptying_state()
-        row_loglik = model.row_loglik
-        emptied = []
+        # scored from cached rates, a proposal that leaves row 0 no positive
+        # rate under its count (by emptying the row, or by dropping the last
+        # feature with a positive factor there) would see rounding residue,
+        # read a finite log-likelihood and draw a uniform the reference
+        # never draws
+        for make in (emptying_state, dead_cell_state):
+            state, model = make()
+            twin, _ = make()
+            row_loglik = model.row_loglik
+            dead = []
 
-        def watched(i, rates):
-            out = row_loglik(i, rates)
-            if i == 0 and not rates.any():
-                emptied.append(out)
-            return out
+            def watched(i, rates):
+                out = row_loglik(i, rates)
+                if i == 0 and rates[0] == 0.0:
+                    dead.append(out)
+                return out
 
-        model.row_loglik = watched
-        got = entry_pass(state, model)
-        assert emptied == [-math.inf]
-        want = entry_pass(twin, model, reference=True)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert state.rng.uniform() == twin.rng.uniform()
+            model.row_loglik = watched
+            got = entry_pass(state, model)
+            assert dead == [-math.inf], make.__name__
+            want = entry_pass(twin, model, reference=True)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert state.rng.uniform() == twin.rng.uniform()
 
 
 class TestSingletonKernel:

@@ -13,9 +13,9 @@ hyperparameters as (r, c, T) rather than through repr(Hyperparams), so the
 text of that repr is not part of the pin; both values, and the finitary and
 truncated simulate digests, were recorded before fixed atoms left
 Hyperparams.  The infer digest was re-recorded when the array p.m.f. moved
-onto sufficient statistics: that sum runs in another order, so the printed
-log_joint values moved in their last digits while every other field, and
-every draw, stayed the same.
+onto sufficient statistics, evaluated with log-beta functions: that sum
+runs in another order, so the printed log_joint values moved in their last
+digits while every other field, and every draw, stayed the same.
 """
 
 import hashlib
@@ -37,7 +37,7 @@ from nbibp.structures import FeatureArray, Hyperparams
 
 RUN_CHAIN_SHA256 = "69a56b5402570ccdd0b31310e57ae196af3248911bf095e54aa6b3d09765d875"
 GEWEKE_LOOP_SHA256 = "26ed630769ee27134443245e29bb72d85367060579b89b1127121b63f32c3e5f"
-INFER_FULL_SHA256 = "0262033e7958c236975f6a99e0f759fa0ada93de0a90693381b54510cd42d869"
+INFER_FULL_SHA256 = "6fff66bdd5db7702f113db45aff0d6dc3270df16e183d10b2452fd4d7c1842df"
 SIMULATE_SHA256 = "049e43bc035188a3273ca3e90763fe5b2eca456f4814e2fa0a968cbb1e54f150"
 FINITARY_SHA256 = "f968b048f6346bef9cdc63b5e349fc0f3c7d14241a5a3e54718e5984f8977b0e"
 TRUNCATED_SHA256 = "3a733207f7df4873df3b5bf8ee1d079a936af9c72e7292ccc8a4eedc6be671fe"

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from nbibp.distributions import (
     bnb_log_pmf,
     digamma_log_pmf,
 )
-from nbibp.numerics import digamma_fn, log_rising_factorial
+from nbibp.numerics import digamma_fn
 from nbibp.structures import (
     CombStruct,
     FeatureArray,
@@ -39,20 +40,21 @@ arrays = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
-def column_loop_log_pmf(arr, hp):
+def column_loop_log_pmf(arr, hp, num=float, lgamma=math.lgamma):
     """The per-column, per-entry loop that log_pmf_array evaluates on
-    sufficient statistics, kept as its oracle."""
-    n = arr.n
-    cnr = hp.c + n * hp.r
-    rate = hp.c * hp.T * (digamma_fn(cnr) - digamma_fn(hp.c))
+    sufficient statistics, kept as its oracle.  With num=mpmath.mpf and
+    lgamma=mpmath.loggamma it is exact to the working precision."""
+    n, r = arr.n, num(hp.r)
+    cnr = num(hp.c) + n * r
+    rate = hp.c * hp.T * (digamma_fn(hp.c + n * hp.r) - digamma_fn(hp.c))
     out = arr.kappa * math.log(hp.c * hp.T) - math.lgamma(arr.kappa + 1) - rate
     for col in arr.columns:
         s = sum(col)
-        out += math.lgamma(s) + math.lgamma(cnr) - math.lgamma(cnr + s)
+        out += lgamma(s) + lgamma(cnr) - lgamma(cnr + s)
         for w in col:
             if w:
-                out += log_rising_factorial(hp.r, w) - math.lgamma(w + 1)
-    return out
+                out += lgamma(r + w) - lgamma(r) - lgamma(w + 1)
+    return float(out)
 
 
 class TestContainers:
@@ -166,6 +168,20 @@ class TestPmfInvariances:
     def test_matches_column_loop(self, arr, r, c, T):
         hp = Hyperparams(r, c, T)
         assert log_pmf_array(arr, hp) == pytest.approx(column_loop_log_pmf(arr, hp), rel=1e-12)
+
+    @pytest.mark.parametrize("big", [10**12, 2**70])
+    def test_huge_entries(self, big):
+        # heavy-tailed count laws draw entries like these.  The statistics
+        # keep only distinct values, 2**70 does not fit an int64, and a float
+        # difference of log-gammas at 10**12 is already wrong in the fifth digit
+        hp = Hyperparams(0.1, 0.1, 1.0)
+        arr = FeatureArray(3, ((big, 0, 2), (1, big + 1, 0), (0, 0, 3)))
+        with mpmath.workdps(50):
+            want = column_loop_log_pmf(arr, hp, mpmath.mpf, mpmath.loggamma)
+        assert log_pmf_array(arr, hp) == pytest.approx(want, rel=1e-12)
+        assert log_pmf_struct(from_array(arr), hp) == pytest.approx(
+            want + ordering_count(from_array(arr)), rel=1e-12
+        )
 
 
 class TestEnumerationOracles:
