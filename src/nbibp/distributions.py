@@ -74,19 +74,18 @@ class BnbParams:
 
 @dataclass(frozen=True)
 class NbParams:
-    """Shape r > 0 and success probability p in (0, 1].
+    """Shape r > 0 and success probability p in (0, 1).
 
-    p = 1 is admitted as a parameter value (it arises as a boundary of the
-    conjugate updates) but p.m.f. evaluation and sampling reject it: all mass
-    would sit at infinity, so no distribution on the integers exists there.
+    p = 1 is refused: all mass would sit at infinity, so no distribution on
+    the integers exists there.
     """
 
     r: float
     p: float
 
     def __post_init__(self):
-        if not (self.r > 0.0 and 0.0 < self.p <= 1.0):
-            raise ValueError(f"NbParams needs r > 0 and p in (0, 1], got {self!r}")
+        if not (self.r > 0.0 and 0.0 < self.p < 1.0):
+            raise ValueError(f"NbParams needs r > 0 and p in (0, 1), got {self!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +116,6 @@ def bnb_log_pmf(params, z):
 
 def nb_log_pmf(params, z):
     z = _check_count(z, 0, "nb_log_pmf")
-    if params.p == 1.0:
-        raise ValueError("nb_log_pmf is undefined at p = 1: no mass on finite counts")
     r, p = params.r, params.p
     return (
         log_rising_factorial(r, z)
@@ -133,7 +130,8 @@ def nb_log_pmf(params, z):
 
 
 def _nb_draw(r, p, rng):
-    """One NB(r, p) count through the gamma-Poisson mixture.
+    """One NB(r, p) count, a Python int, through the gamma-Poisson mixture:
+    one gamma then one Poisson draw from rng, none when p <= 0.
 
     Caps the Poisson rate at 1e18 so a beta draw that rounds to 1.0 cannot
     crash the Poisson sampler; the cap is reachable only on events of
@@ -143,12 +141,10 @@ def _nb_draw(r, p, rng):
         return 0
     q = 1.0 - p
     lam = rng.gamma(r) * (p / max(q, 1e-300))
-    return int(rng.poisson(min(lam, 1e18)))
+    return rng.poisson(min(lam, 1e18))
 
 
 def nb_sample(params, rng):
-    if params.p == 1.0:
-        raise ValueError("nb_sample is undefined at p = 1: no mass on finite counts")
     return _nb_draw(params.r, params.p, rng)
 
 
@@ -170,7 +166,7 @@ def digamma_sample_rounds(params, rng):
     for rounds in range(1, REJECTION_CAP + 1):
         p = rng.beta(1.0, theta)
         y = _nb_draw(r, p, rng)
-        if bound * rng.uniform() < (y + r) / (y + 1.0):
+        if bound * rng.random() < (y + r) / (y + 1.0):
             return y + 1, rounds
     raise RuntimeError(
         f"digamma rejection sampler exceeded {REJECTION_CAP} rounds at {params!r}; "

@@ -138,12 +138,12 @@ def _weight_integrals(c, epsilon):
 def _draw_weight(c, epsilon, i_low, i_high, rng):
     """One weight from the normalized density p^{-1} (1-p)^{c-1} on (eps, 1)."""
     lo = max(epsilon, 0.5)
-    if rng.uniform() * (i_low + i_high) < i_high:
+    if rng.random() * (i_low + i_high) < i_high:
         # upper piece: propose 1-p ~ (1-p)^{c-1} exactly, thin by lo/p <= 1
         width = 1.0 - lo
         while True:
-            p = 1.0 - width * rng.uniform() ** (1.0 / c)
-            if rng.uniform() * p < lo * 1.0:
+            p = 1.0 - width * rng.random() ** (1.0 / c)
+            if rng.random() * p < lo * 1.0:
                 return p
     # lower piece in t = log p: bounded envelope, monotone target
     t_lo, t_hi = math.log(epsilon), math.log(0.5)
@@ -152,8 +152,8 @@ def _draw_weight(c, epsilon, i_low, i_high, rng):
         math.exp((c - 1.0) * math.log(0.5)),
     )
     while True:
-        t = t_lo + rng.uniform() * (t_hi - t_lo)
-        if rng.uniform() * env < math.exp((c - 1.0) * math.log1p(-math.exp(t))):
+        t = t_lo + rng.random() * (t_hi - t_lo)
+        if rng.random() * env < math.exp((c - 1.0) * math.log1p(-math.exp(t))):
             return math.exp(t)
 
 

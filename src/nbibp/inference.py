@@ -173,7 +173,10 @@ class HyperPrior:
         if self.kind == "gamma":
             return (self.a - 1.0) * math.log(x) - self.b * x
         lx = math.log(x)
-        return -lx - 0.5 * ((lx - self.a) / self.b) ** 2
+        z = (lx - self.a) / self.b
+        if abs(z) > 1e154:  # z ** 2 would overflow; the density is 0 here
+            return -math.inf
+        return -lx - 0.5 * z ** 2
 
 
 @dataclass(frozen=True)
@@ -209,6 +212,13 @@ def log_joint(state, model):
     return lp + ll
 
 
+def _gamma_factors(rng, shape, rate, size=None):
+    """Gamma(shape, rate) factor entries, with a draw that underflows to 0.0
+    (possible for shape << 1) lifted to the least positive double, so Theta
+    stays positive; every positive draw is returned unchanged."""
+    return np.maximum(rng.gamma(shape, 1.0 / rate, size), math.ulp(0.0))
+
+
 def _accept(delta_new, delta_old, rng):
     """MH accept/reject on a log-likelihood pair, tolerating -inf states."""
     if delta_new == -math.inf:
@@ -216,7 +226,7 @@ def _accept(delta_new, delta_old, rng):
     if delta_old == -math.inf:
         return True
     d = delta_new - delta_old
-    return d >= 0.0 or rng.uniform() < math.exp(d)
+    return d >= 0.0 or rng.random() < math.exp(d)
 
 
 def _entry_row(state, model, M, sums, i, cols):
@@ -282,11 +292,9 @@ def _singleton_move(state, model, M, sums, i):
     new_M = np.zeros((n, kappa_star), dtype=np.int64)
     new_theta = np.empty((kappa_star, model.V))
     if born:
-        fresh[rng.choose(kappa_star, born)] = True
+        fresh[rng.choice(kappa_star, size=born, replace=False)] = True
         new_M[i, fresh] = masses
-        new_theta[fresh] = rng.gamma_array(
-            np.full((born, model.V), model.a_theta), 1.0 / model.b_theta
-        )
+        new_theta[fresh] = _gamma_factors(rng, model.a_theta, model.b_theta, (born, model.V))
     new_M[:, ~fresh] = M[:, keep]
     new_theta[~fresh] = state.Theta[keep]
     if not _accept(
@@ -335,9 +343,7 @@ def update_theta(state, model):
         raise ValueError("no factor rows to update on an empty array")
     rng = state.rng
     if model.y is None:
-        state.Theta = rng.gamma_array(
-            np.full((kappa, model.V), model.a_theta), 1.0 / model.b_theta
-        )
+        state.Theta = _gamma_factors(rng, model.a_theta, model.b_theta, (kappa, model.V))
         return state
     w_mat = state.W.to_matrix().astype(np.float64)
     rows, cols = np.nonzero(model.y)
@@ -352,7 +358,7 @@ def update_theta(state, model):
     alloc = alloc.reshape(kappa, model.V)
     shape = model.a_theta + alloc
     rate = model.b_theta + w_mat.sum(axis=0)[:, None]
-    state.Theta = rng.gamma_array(shape, 1.0 / rate)
+    state.Theta = _gamma_factors(rng, shape, rate)
     return state
 
 
@@ -373,8 +379,8 @@ def _slice_update(x0, log_target, rng):
     f0 = log_target(x0)
     if not math.isfinite(f0):
         raise ValueError(f"slice sampling started at zero density (x0={x0!r})")
-    level = f0 + math.log1p(-rng.uniform())
-    lo = x0 - width * rng.uniform()
+    level = f0 + math.log1p(-rng.random())
+    lo = x0 - width * rng.random()
     hi = lo + width
     steps = max_steps
     while lo > 0.0 and log_target(lo) > level:
@@ -390,7 +396,7 @@ def _slice_update(x0, log_target, rng):
         if steps == 0:
             raise RuntimeError(f"slice bracket grew past {max_steps} expansions (right)")
     for _ in range(max_steps):
-        x = lo + rng.uniform() * (hi - lo)
+        x = lo + rng.random() * (hi - lo)
         if x > 0.0 and log_target(x) > level:
             return x
         if x < x0:
@@ -488,9 +494,7 @@ def prior_state(model, hp, t_prior, rng, draw_T=False):
     if draw_T:
         hp = Hyperparams(hp.r, hp.c, rng.gamma(t_prior[0], 1.0 / t_prior[1]))
     W = nbibp_simulate(model.n, hp, rng)
-    theta = rng.gamma_array(
-        np.full((W.kappa, model.V), model.a_theta), 1.0 / model.b_theta
-    ).reshape(W.kappa, model.V)
+    theta = _gamma_factors(rng, model.a_theta, model.b_theta, (W.kappa, model.V))
     return ChainState(W, theta, hp, t_prior, rng)
 
 
@@ -501,7 +505,7 @@ def resample_counts(state, model, rng=None):
         rates = state.W.to_matrix().astype(np.float64) @ state.Theta
     else:
         rates = np.zeros((model.n, model.V))
-    return PoissonFactorModel(rng.poisson_array(rates), model.a_theta, model.b_theta)
+    return PoissonFactorModel(rng.poisson(rates), model.a_theta, model.b_theta)
 
 
 def chain_record(state, sweep, model, full=False):

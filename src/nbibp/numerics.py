@@ -1,8 +1,9 @@
 """Log-space special functions and keyed random streams.
 
 Everything downstream (p.m.f. evaluation, the simulators, the MCMC kernels)
-is built on the four functions here plus the RngStream contract.  The four
-functions are pure; RngStream is the only stateful object in the package.
+is built on the four functions here plus RngStream.  The four functions are
+pure; RngStream, a numpy Generator whose only addition is its (seed,
+stream_id) key, is the only stateful object in the package.
 """
 
 import math
@@ -84,53 +85,17 @@ def log_beta_fn(a, b):
 _MASK64 = (1 << 64) - 1
 
 
-class RngStream:
-    """Deterministic random stream keyed by (seed, stream_id).
+class RngStream(np.random.Generator):
+    """A numpy Generator on a Philox stream keyed by (seed, stream_id).
 
-    Wraps a counter-based Philox generator so that distinct stream ids under
-    one seed give statistically independent streams, and an identical key
-    replays the identical draw sequence regardless of what any other stream
-    has consumed.  Replicate fan-out therefore keys one stream per replicate
-    index and the merged output is independent of scheduling.
+    Both key words are taken mod 2**64, so a negative seed is a valid key.
+    Distinct stream ids under one seed give statistically independent
+    streams, and an identical key replays the identical draw sequence
+    regardless of what any other stream has consumed.  Replicate fan-out
+    therefore keys one stream per replicate index and the merged output is
+    independent of scheduling.  Draws are numpy's own methods.
     """
 
     def __init__(self, seed, stream_id=0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
-        self.generator = np.random.Generator(np.random.Philox(key=key))
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-    # Thin delegation to the underlying generator.  These are the only draw
-    # primitives the package uses, so the consumption order of a given
-    # operation is pinned down by its code path alone.
-
-    def uniform(self):
-        return self.generator.random()
-
-    def beta(self, a, b):
-        return float(self.generator.beta(a, b))
-
-    def gamma(self, shape, scale=1.0):
-        return float(self.generator.gamma(shape, scale))
-
-    def gamma_array(self, shape, scale):
-        return self.generator.gamma(shape, scale)
-
-    def poisson(self, mean):
-        return int(self.generator.poisson(mean))
-
-    def poisson_array(self, mean):
-        return self.generator.poisson(mean)
-
-    def multinomial(self, n, pvals):
-        return self.generator.multinomial(n, pvals)
-
-    def permutation(self, n):
-        return self.generator.permutation(n)
-
-    def choose(self, n, k):
-        """k distinct slots out of range(n), without replacement."""
-        return self.generator.choice(n, size=k, replace=False)
+        key = np.array([int(seed) & _MASK64, int(stream_id) & _MASK64], dtype=np.uint64)
+        super().__init__(np.random.Philox(key=key))

@@ -263,6 +263,7 @@ class TestErrorBoundary:
             ["simulate", "--reps", "two", "--seed", "1"],
             ["sample", "--reps", "-1", "--seed", "1"],
             ["sample", "--dist", "nb", "--p", "1.5", "--seed", "1"],
+            ["sample", "--dist", "nb", "--p", "1", "--seed", "1"],
             ["pmf", "--in", missing],
             ["infer", "--seed", "1"],
             ["infer", "--in", str(good), "--synthetic", "--seed", "1"],
@@ -297,6 +298,32 @@ class TestErrorBoundary:
             assert code == 0, seed
             assert captured.err == "", seed
             assert len(captured.out.splitlines()) == 22, seed  # truth + 21 states
+
+    def test_factor_draws_that_underflow_keep_running(self, capsys):
+        # a Gamma(a_theta << 1) factor draw can round to 0.0; the chain must
+        # keep Theta positive rather than refuse its own state
+        for argv in (
+            ["--n", "10", "--V", "5", "--a-theta", "0.01", "--sweeps", "30", "--seed", "1"],
+            ["--n", "10", "--V", "5", "--a-theta", "0.01", "--sweeps", "30", "--seed", "5"],
+            ["--n", "4", "--V", "3", "--a-theta", "1e-300", "--sweeps", "30", "--seed", "1"],
+        ):
+            code = cli.main(["infer", "--synthetic", *argv])
+            captured = capsys.readouterr()
+            assert code == 0, argv
+            assert captured.err == "", argv
+            records = [json.loads(ln) for ln in captured.out.splitlines()[1:]]
+            assert len(records) == 31, argv
+            assert all(math.isfinite(rec["log_joint"]) for rec in records), argv
+
+    def test_lognormal_prior_far_from_its_mode(self, capsys):
+        # ((log c - mu) / sigma) ** 2 overflows a double for a tiny sigma
+        code = cli.main(
+            ["infer", "--synthetic", "--n", "4", "--V", "3", "--sweeps", "5",
+             "--c-prior", "lognormal:0,1e-300", "--seed", "1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert {json.loads(ln)["c"] for ln in captured.out.splitlines()[1:]} == {1.0}
 
     def test_entry_point_has_no_traceback(self, tmp_path):
         path = tmp_path / "y.txt"

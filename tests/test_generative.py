@@ -122,7 +122,7 @@ class TestFinitary:
             rng = RngStream(27, 0)
             with pytest.raises(ValueError, match="fixed atom weights"):
                 bnbp_sample_finitary(hp, rng, fixed_atoms=(0.5, b))
-            assert rng.uniform() == RngStream(27, 0).uniform()
+            assert rng.random() == RngStream(27, 0).random()
         assert bnbp_sample_finitary(hp, RngStream(27, 0))[0] == []
 
     def test_atom_count_and_means(self):

@@ -60,7 +60,7 @@ def theta_reference(state, model):
             alloc[:, v] += state.rng.multinomial(yiv, weights / total)
     shape = model.a_theta + alloc
     rate = model.b_theta + w_mat.sum(axis=0)[:, None]
-    return state.rng.gamma_array(shape, 1.0 / rate)
+    return state.rng.gamma(shape, 1.0 / rate)
 
 
 def entry_reference(state, model, M, sums, i, j):
@@ -274,7 +274,7 @@ class TestEntryKernel:
         got = entry_pass(state, model)
         want = entry_pass(twin, model, reference=True)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert state.rng.uniform() == twin.rng.uniform()  # same stream position
+        assert state.rng.random() == twin.rng.random()  # same stream position
 
     def test_emptied_row_scores_on_zero_rates(self):
         # scored from cached rates, a proposal that leaves row 0 no positive
@@ -299,7 +299,7 @@ class TestEntryKernel:
             assert dead == [-math.inf], make.__name__
             want = entry_pass(twin, model, reference=True)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            assert state.rng.uniform() == twin.rng.uniform()
+            assert state.rng.random() == twin.rng.random()
 
 
 class TestSingletonKernel:
@@ -423,7 +423,7 @@ class TestThetaKernel:
         update_theta(state, model)
         want = theta_reference(twin, model)
         assert np.array_equal(state.Theta, want)
-        assert state.rng.uniform() == twin.rng.uniform()  # same stream position
+        assert state.rng.random() == twin.rng.random()  # same stream position
 
     def test_zero_row_with_zero_counts_draws_nothing(self):
         hp = Hyperparams(1.0, 1.0, 1.0)
@@ -434,7 +434,7 @@ class TestThetaKernel:
         twin = ChainState(W, theta.copy(), hp, (1.0, 1.0), RngStream(132, 0))
         update_theta(state, model)
         assert np.array_equal(state.Theta, theta_reference(twin, model))
-        assert state.rng.uniform() == twin.rng.uniform()
+        assert state.rng.random() == twin.rng.random()
 
     def test_zero_rate_counts_stay_unsplit(self):
         # an impossible state: rows 1 and 2 express nothing but hold counts
@@ -446,7 +446,7 @@ class TestThetaKernel:
         twin = ChainState(W, theta.copy(), hp, (1.0, 1.0), RngStream(133, 0))
         update_theta(state, model)
         assert np.array_equal(state.Theta, theta_reference(twin, model))
-        assert state.rng.uniform() == twin.rng.uniform()
+        assert state.rng.random() == twin.rng.random()
 
 
 class TestSweepStructure:

@@ -92,26 +92,42 @@ class TestRngStream:
     def test_replay(self):
         a = RngStream(42, 7)
         b = RngStream(42, 7)
-        assert [a.uniform() for _ in range(5)] == [b.uniform() for _ in range(5)]
+        assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
         assert a.poisson(3.0) == b.poisson(3.0)
         assert np.array_equal(a.permutation(10), b.permutation(10))
 
     def test_streams_differ(self):
         a = RngStream(42, 0)
         b = RngStream(42, 1)
-        assert [a.uniform() for _ in range(4)] != [b.uniform() for _ in range(4)]
+        assert [a.random() for _ in range(4)] != [b.random() for _ in range(4)]
 
     def test_seeds_differ(self):
-        assert RngStream(1, 0).uniform() != RngStream(2, 0).uniform()
+        assert RngStream(1, 0).random() != RngStream(2, 0).random()
 
     def test_choose_distinct(self):
         rng = RngStream(5, 0)
-        picks = rng.choose(10, 4)
+        picks = rng.choice(10, size=4, replace=False)
         assert len(set(picks.tolist())) == 4
         assert all(0 <= p < 10 for p in picks)
 
     def test_gamma_positive(self):
         rng = RngStream(6, 0)
         assert rng.gamma(0.5, 2.0) > 0.0
-        arr = rng.gamma_array(np.full((3, 2), 1.5), 1.0)
+        arr = rng.gamma(1.5, 1.0, (3, 2))
         assert arr.shape == (3, 2) and (arr > 0).all()
+
+    @pytest.mark.parametrize("seed, stream_id", [(42, 7), (0, 0), (-1, 3), (-(2**63), 2**64 + 5)])
+    def test_keyed_philox_generator(self, seed, stream_id):
+        # the stream is numpy's Generator on Philox keyed (seed, id) mod 2**64
+        rng = RngStream(seed, stream_id)
+        assert isinstance(rng, np.random.Generator)
+        key = np.array([seed % 2**64, stream_id % 2**64], dtype=np.uint64)
+        plain = np.random.Generator(np.random.Philox(key=key))
+        assert [rng.random() for _ in range(3)] == [plain.random() for _ in range(3)]
+        assert rng.poisson(4.0) == plain.poisson(4.0)
+        assert np.array_equal(rng.gamma(0.7, 2.0, 5), plain.gamma(0.7, 2.0, 5))
+
+    def test_defines_no_draw_method(self):
+        # every draw is numpy's own method: RngStream adds only its keying
+        own = {k for k, v in vars(RngStream).items() if callable(v)}
+        assert own == {"__init__"}

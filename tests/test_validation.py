@@ -22,14 +22,14 @@ from nbibp.validation import (
 class TestHelpers:
     def test_autocorr_time_iid_near_one(self):
         rng = RngStream(200, 0)
-        x = [rng.uniform() for _ in range(8000)]
+        x = [rng.random() for _ in range(8000)]
         assert 0.5 < autocorr_time(x) < 1.6
 
     def test_autocorr_time_ar1_inflated(self):
         rng = RngStream(201, 0)
         x = [0.0]
         for _ in range(8000):
-            x.append(0.9 * x[-1] + math.sqrt(1 - 0.81) * (rng.uniform() - 0.5))
+            x.append(0.9 * x[-1] + math.sqrt(1 - 0.81) * (rng.random() - 0.5))
         # AR(1) with coefficient 0.9 has tau = (1+0.9)/(1-0.9) = 19
         assert autocorr_time(x[1:]) > 8.0
 
