@@ -4,13 +4,7 @@ multiplicities."""
 
 from types import ModuleType as _ModuleType
 
-from .numerics import (
-    RngStream,
-    digamma_fn,
-    harmonic_gap,
-    log_beta_fn,
-    log_rising_factorial,
-)
+from .numerics import RngStream, harmonic_gap
 from .distributions import (
     BnbParams,
     DigammaParams,

@@ -6,7 +6,11 @@
   success probability is integrated against a beta density,
 * negative binomial (NB) on {0, 1, ...} with mass propto (r)_z / z! p^z (1-p)^r.
 
-Log p.m.f.s are exact up to floating point.  Samplers draw through exact
+Log p.m.f.s are exact up to floating point.  Every rising-factorial ratio
+is a beta function: (r)_z / (r+theta)_z = B(r+z, theta) / B(r, theta), and
+(r)_z / z! = 1 / (B(r, z+1) (r+z)), the one form shared with the array
+p.m.f.  scipy's betaln keeps these accurate at huge counts (10**12 and up),
+where differences of log-gammas lose digits.  Samplers draw through exact
 beta / gamma / Poisson primitives only; the digamma sampler is a rejection
 scheme whose proposal is BNB(r, 1, theta).  The digamma and BNB total masses
 sum a truncated series and close it with an exact beta-integral tail, taken
@@ -19,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import betaln
 
-from .numerics import harmonic_gap, log_beta_fn, log_rising_factorial
+from .numerics import harmonic_gap
 
 __all__ = [
     "DigammaParams",
@@ -92,13 +96,20 @@ class NbParams:
 # log p.m.f.s
 
 
+def _log_rising_over_factorial(r, z):
+    """log (r)_z / z! = -log B(r, z + 1) - log(r + z), for a count z >= 0 or
+    an array of them; the coefficient of the NB and BNB laws and of each
+    entry of the array p.m.f."""
+    return -betaln(r, z + 1.0) - np.log(r + z)
+
+
 def digamma_log_pmf(params, z):
     z = _check_count(z, 1, "digamma_log_pmf")
     r, theta = params.r, params.theta
-    return (
-        -math.log(harmonic_gap(r, theta))
-        + log_rising_factorial(r, z)
-        - log_rising_factorial(r + theta, z)
+    return float(
+        betaln(r + z, theta)
+        - betaln(r, theta)
+        - math.log(harmonic_gap(r, theta))
         - math.log(z)
     )
 
@@ -106,23 +117,13 @@ def digamma_log_pmf(params, z):
 def bnb_log_pmf(params, z):
     z = _check_count(z, 0, "bnb_log_pmf")
     r, a, b = params.r, params.alpha, params.beta
-    return (
-        log_rising_factorial(r, z)
-        - math.lgamma(z + 1)
-        + log_beta_fn(z + a, r + b)
-        - log_beta_fn(a, b)
-    )
+    return float(_log_rising_over_factorial(r, z) + betaln(z + a, r + b) - betaln(a, b))
 
 
 def nb_log_pmf(params, z):
     z = _check_count(z, 0, "nb_log_pmf")
     r, p = params.r, params.p
-    return (
-        log_rising_factorial(r, z)
-        - math.lgamma(z + 1)
-        + z * math.log(p)
-        + r * math.log1p(-p)
-    )
+    return float(_log_rising_over_factorial(r, z) + z * math.log(p) + r * math.log1p(-p))
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +302,7 @@ def _bnb_damped_remainder(x, s, r, coefs_rev):
             partial = partial * x + coef
         # e^{-rs} (1-x)^{-r} is exactly 1
         return 1.0 - damp * partial
-    log_first = (
-        log_rising_factorial(r, Z + 1) - math.lgamma(Z + 2) + (Z + 1) * math.log(x)
-    )
+    log_first = float(_log_rising_over_factorial(r, Z + 1)) + (Z + 1) * math.log(x)
     return damp * _tail_sum(log_first, x, r, Z + 1)
 
 
@@ -311,14 +310,9 @@ def digamma_total_mass(params):
     """Total p.m.f. mass (should be 1); the package's normalization oracle."""
     r, theta = params.r, params.theta
     log_xi = math.log(harmonic_gap(r, theta))
+    log_b = betaln(r, theta)
     zs = np.arange(1, _HEAD_TERMS + 1)
-    log_u = (
-        gammaln(r + zs)
-        - gammaln(r)
-        - gammaln(r + theta + zs)
-        + gammaln(r + theta)
-        - np.log(zs)
-    )
+    log_u = betaln(r + zs, theta) - log_b - np.log(zs)
     head = float(np.exp(log_u - log_xi).sum())
     inv_zs = 1.0 / zs
     tail = _beta_weighted_integral(
@@ -327,18 +321,16 @@ def digamma_total_mass(params):
         lambda x, s: _log_series_remainder(x, s, zs, inv_zs),
         f"digamma tail at {params!r}",
     )
-    return head + math.exp(-log_xi - log_beta_fn(r, theta)) * tail
+    return head + math.exp(-log_xi - log_b) * tail
 
 
 def bnb_total_mass(params):
     """Total BNB mass: a _HEAD_TERMS head closed by the beta-integral tail."""
     r, a, b = params.r, params.alpha, params.beta
     zs = np.arange(0, _HEAD_TERMS + 1)
-    log_u = gammaln(r + zs) - gammaln(r) - gammaln(zs + 1)
-    log_b_ab = log_beta_fn(a, b)
-    head_terms = np.exp(
-        log_u + gammaln(zs + a) + gammaln(r + b) - gammaln(zs + a + r + b) - log_b_ab
-    )
+    log_u = _log_rising_over_factorial(r, zs)
+    log_b_ab = betaln(a, b)
+    head_terms = np.exp(log_u + betaln(zs + a, r + b) - log_b_ab)
     coefs_rev = np.exp(log_u)[::-1].tolist()
     tail = _beta_weighted_integral(
         a,

@@ -219,6 +219,13 @@ def _gamma_factors(rng, shape, rate, size=None):
     return np.maximum(rng.gamma(shape, 1.0 / rate, size), math.ulp(0.0))
 
 
+def _gamma_mass(rng, shape, rate):
+    """One Gamma(shape, rate) base mass T, a Python float, lifted to the
+    least positive double when it underflows to 0.0 as _gamma_factors does,
+    so Hyperparams accepts it."""
+    return max(rng.gamma(shape, 1.0 / rate), math.ulp(0.0))
+
+
 def _accept(delta_new, delta_old, rng):
     """MH accept/reject on a log-likelihood pair, tolerating -inf states."""
     if delta_new == -math.inf:
@@ -368,7 +375,7 @@ def update_mass_T(state):
     alpha, beta = state.t_prior
     hp = state.hp
     rate = beta + hp.c * harmonic_gap(state.W.n * hp.r, hp.c)
-    new_t = state.rng.gamma(alpha + state.W.kappa, 1.0 / rate)
+    new_t = _gamma_mass(state.rng, alpha + state.W.kappa, rate)
     state.hp = Hyperparams(hp.r, hp.c, new_t)
     return state
 
@@ -492,7 +499,7 @@ def prior_state(model, hp, t_prior, rng, draw_T=False):
     """A fresh state from the prior: optionally T ~ Gamma(t_prior), then the
     array, then factor rows."""
     if draw_T:
-        hp = Hyperparams(hp.r, hp.c, rng.gamma(t_prior[0], 1.0 / t_prior[1]))
+        hp = Hyperparams(hp.r, hp.c, _gamma_mass(rng, *t_prior))
     W = nbibp_simulate(model.n, hp, rng)
     theta = _gamma_factors(rng, model.a_theta, model.b_theta, (W.kappa, model.V))
     return ChainState(W, theta, hp, t_prior, rng)

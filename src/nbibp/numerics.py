@@ -1,55 +1,16 @@
-"""Log-space special functions and keyed random streams.
+"""The harmonic gap and keyed random streams.
 
 Everything downstream (p.m.f. evaluation, the simulators, the MCMC kernels)
-is built on the four functions here plus RngStream.  The four functions are
-pure; RngStream, a numpy Generator whose only addition is its (seed,
-stream_id) key, is the only stateful object in the package.
+is built on harmonic_gap, scipy.special's digamma and log-beta functions,
+and RngStream.  harmonic_gap is pure; RngStream, a numpy Generator whose
+only addition is its (seed, stream_id) key, is the only stateful object in
+the package.
 """
 
-import math
-
 import numpy as np
+from scipy.special import psi
 
-__all__ = [
-    "RngStream",
-    "digamma_fn",
-    "harmonic_gap",
-    "log_rising_factorial",
-    "log_beta_fn",
-]
-
-# psi(x) ~ ln x - 1/(2x) - sum_k B_{2k}/(2k x^{2k}) after shifting the
-# argument above _SHIFT by the recurrence psi(x) = psi(x+1) - 1/x.  With the
-# shift at 10 the first neglected term (B_16/(16 x^16)) is below 5e-17, well
-# inside the 1e-12 accuracy target on [1e-3, 1e6].
-_SHIFT = 10.0
-_ASYMPTOTIC_COEFS = (
-    1.0 / 12.0,       # B_2 / 2
-    -1.0 / 120.0,     # B_4 / 4
-    1.0 / 252.0,      # B_6 / 6
-    -1.0 / 240.0,     # B_8 / 8
-    1.0 / 132.0,      # B_10 / 10
-    -691.0 / 32760.0, # B_12 / 12
-    1.0 / 12.0,       # B_14 / 14
-)
-
-
-def digamma_fn(x):
-    """Digamma psi(x) for x > 0; absolute error stays below 1e-12 on [1e-3, 1e6]."""
-    if not x > 0.0:
-        raise ValueError(f"digamma_fn needs x > 0, got {x!r}")
-    x = float(x)
-    shifted = 0.0
-    while x < _SHIFT:
-        shifted -= 1.0 / x
-        x += 1.0
-    inv_sq = 1.0 / (x * x)
-    tail = 0.0
-    power = inv_sq
-    for coef in _ASYMPTOTIC_COEFS:
-        tail += coef * power
-        power *= inv_sq
-    return shifted + math.log(x) - 0.5 / x - tail
+__all__ = ["RngStream", "harmonic_gap"]
 
 
 def harmonic_gap(r, theta):
@@ -61,25 +22,7 @@ def harmonic_gap(r, theta):
     """
     if not (r > 0.0 and theta > 0.0):
         raise ValueError(f"harmonic_gap needs r > 0 and theta > 0, got r={r!r}, theta={theta!r}")
-    return digamma_fn(theta + r) - digamma_fn(theta)
-
-
-def log_rising_factorial(a, n):
-    """log of the rising factorial a(a+1)...(a+n-1) for a > 0 and integer n >= 0."""
-    if not a > 0.0:
-        raise ValueError(f"log_rising_factorial needs a > 0, got {a!r}")
-    if n != int(n) or n < 0:
-        raise ValueError(f"log_rising_factorial needs integer n >= 0, got {n!r}")
-    if n == 0:
-        return 0.0
-    return math.lgamma(a + n) - math.lgamma(a)
-
-
-def log_beta_fn(a, b):
-    """log Beta(a, b) for a, b > 0."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"log_beta_fn needs a > 0 and b > 0, got a={a!r}, b={b!r}")
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return float(psi(theta + r) - psi(theta))
 
 
 _MASK64 = (1 << 64) - 1

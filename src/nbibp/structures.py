@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betaln
 
-from .numerics import digamma_fn
+from .distributions import _log_rising_over_factorial
+from .numerics import harmonic_gap
 
 __all__ = [
     "Hyperparams",
@@ -175,9 +176,9 @@ def _log_pmf_of(n, columns):
     counts of its distinct nonzero entry values, so these are taken once and
     each call costs O(kappa + distinct values).  Each column contributes its
     clustering weight under concentration c + n r, log B(s, c + n r) for its
-    sum s, and each nonzero entry w adds log (r)_w - log w!, which is
-    -log B(r, w + 1) - log(r + w).  Beta functions stay accurate at huge
-    entries (10**12 and up), where differences of log-gammas lose digits.
+    sum s, and each nonzero entry w adds log (r)_w / w!, in the log-beta
+    form the NB and BNB laws share.  The feature count is Poisson with rate
+    c T harmonic_gap(n r, c).
     """
     sums = np.array([float(sum(col)) for col in columns])
     hist = sorted(Counter(w for col in columns for w in col if w).items())
@@ -185,10 +186,11 @@ def _log_pmf_of(n, columns):
 
     def log_pmf(hp):
         r, cnr = hp.r, hp.c + n * hp.r
-        rate = hp.c * hp.T * (digamma_fn(cnr) - digamma_fn(hp.c))
-        out = sums.size * math.log(hp.c * hp.T) - math.lgamma(sums.size + 1) - rate
+        rate = hp.c * hp.T * harmonic_gap(n * r, hp.c)
+        # log c + log T, since c T can underflow to 0.0 where neither factor does
+        out = sums.size * (math.log(hp.c) + math.log(hp.T)) - math.lgamma(sums.size + 1) - rate
         out += float(np.sum(betaln(sums, cnr)))
-        return out - float(counts @ (betaln(r, values + 1.0) + np.log(r + values)))
+        return out + float(counts @ _log_rising_over_factorial(r, values))
 
     return log_pmf
 

@@ -315,6 +315,21 @@ class TestErrorBoundary:
             assert len(records) == 31, argv
             assert all(math.isfinite(rec["log_joint"]) for rec in records), argv
 
+    def test_mass_draws_that_underflow_keep_running(self, capsys):
+        # a Gamma(t_alpha << 1) draw of T can round to 0.0, and then c T can
+        # round to 0.0 inside the array p.m.f. the c/r slice moves evaluate
+        code = cli.main(
+            ["infer", "--synthetic", "--n", "4", "--V", "3", "--sweeps", "10",
+             "--t-alpha", "0.001", "--t-beta", "1000", "--seed", "1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        records = [json.loads(ln) for ln in captured.out.splitlines()[1:]]
+        assert len(records) == 11
+        assert all(rec["T"] > 0.0 for rec in records)
+        assert min(rec["T"] for rec in records) == math.ulp(0.0)
+
     def test_lognormal_prior_far_from_its_mode(self, capsys):
         # ((log c - mu) / sigma) ** 2 overflows a double for a tiny sigma
         code = cli.main(

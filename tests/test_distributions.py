@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,6 +154,51 @@ class TestPmfRecurrences:
         step = nb_log_pmf(params, z + 1) - nb_log_pmf(params, z)
         want = math.log(p) + math.log(r + z) - math.log(z + 1)
         assert step == pytest.approx(want, abs=1e-10)
+
+
+class TestHugeCounts:
+    # heavy-tailed count laws draw counts like these; a float difference of
+    # log-gammas at 10**12 is already wrong in the fourth decimal
+    HUGE = (10**6, 10**12, 2**70)
+
+    @staticmethod
+    def log_rising_over_factorial(r, z):
+        return mpmath.loggamma(r + z) - mpmath.loggamma(r) - mpmath.loggamma(z + 1)
+
+    @pytest.mark.parametrize("z", HUGE)
+    def test_digamma(self, z):
+        r, theta = 0.7, 1.3
+        with mpmath.workdps(50):
+            r_, th_ = mpmath.mpf(r), mpmath.mpf(theta)
+            want = (
+                mpmath.loggamma(r_ + z) - mpmath.loggamma(r_)
+                - mpmath.loggamma(r_ + th_ + z) + mpmath.loggamma(r_ + th_)
+                - mpmath.log(z) - mpmath.log(mpmath.digamma(th_ + r_) - mpmath.digamma(th_))
+            )
+        assert digamma_log_pmf(DigammaParams(r, theta), z) == pytest.approx(float(want), rel=1e-10)
+
+    @pytest.mark.parametrize("z", HUGE)
+    def test_bnb(self, z):
+        r, a, b = 0.7, 2.0, 0.5
+        with mpmath.workdps(50):
+            r_, a_, b_ = mpmath.mpf(r), mpmath.mpf(a), mpmath.mpf(b)
+            want = (
+                self.log_rising_over_factorial(r_, z)
+                + mpmath.log(mpmath.beta(z + a_, r_ + b_)) - mpmath.log(mpmath.beta(a_, b_))
+            )
+        assert bnb_log_pmf(BnbParams(r, a, b), z) == pytest.approx(float(want), rel=1e-10)
+
+    @pytest.mark.parametrize("z", HUGE)
+    def test_nb_near_one(self, z):
+        # at p = 1 - 1e-6 the rising-factorial term dominates the log p.m.f.
+        r, p = 0.7, 1.0 - 1e-6
+        with mpmath.workdps(50):
+            r_, p_ = mpmath.mpf(r), mpmath.mpf(p)
+            want = (
+                self.log_rising_over_factorial(r_, z)
+                + z * mpmath.log(p_) + r_ * mpmath.log(1 - p_)
+            )
+        assert nb_log_pmf(NbParams(r, p), z) == pytest.approx(float(want), rel=1e-10)
 
 
 class TestSamplers:

@@ -528,6 +528,19 @@ class TestMassKernel:
         want = shape / rate
         assert abs(mean - want) < 3.0 * math.sqrt(shape / rate**2 / reps)
 
+    def test_draw_that_underflows_stays_positive(self):
+        # Gamma(alpha << 1) rounds to 0.0 on most draws here; T is lifted to
+        # the least positive double, and stays a Python float
+        hp = Hyperparams(1.0, 1.0, 1.0)
+        rng = RngStream(110, 0)
+        lifted = 0
+        for _ in range(200):
+            state = ChainState(FeatureArray(2, ()), np.zeros((0, 1)), hp, (0.001, 1000.0), rng)
+            update_mass_T(state)
+            assert type(state.hp.T) is float and state.hp.T > 0.0
+            lifted += state.hp.T == math.ulp(0.0)
+        assert lifted > 0
+
 
 class TestSliceUpdates:
     def test_gamma_target_invariance(self):
@@ -675,6 +688,18 @@ class TestSupportPieces:
         assert st.W.n == 3
         assert st.Theta.shape == (st.W.kappa, 2)
         assert st.hp.T != hp.T  # drawn from Gamma(2, 2)
+
+    def test_prior_mass_draw_that_underflows(self):
+        # T ~ Gamma(0.001, 1000) underflows to 0.0 on 84 of these 200 seeds,
+        # and one more draw is the least positive double itself
+        model = PoissonFactorModel(None, n=3, V=2)
+        lifted = 0
+        for seed in range(200):
+            st = prior_state(model, Hyperparams(1.0, 1.0, 1.0), (0.001, 1000.0),
+                             RngStream(seed, 0), draw_T=True)
+            assert type(st.hp.T) is float and st.hp.T > 0.0
+            lifted += st.hp.T == math.ulp(0.0)
+        assert lifted == 85
 
     def test_resample_counts_matches_rates(self):
         hp = Hyperparams(1.0, 1.0, 1.0)

@@ -11,7 +11,7 @@ import nbibp.cli  # the tracer reaches cli.main; the package does not import it
 
 # The recorded export set: adding or dropping a public name means editing it.
 EXPORTS = {
-    "RngStream", "digamma_fn", "harmonic_gap", "log_beta_fn", "log_rising_factorial",
+    "RngStream", "harmonic_gap",
     "BnbParams", "DigammaParams", "NbParams", "bnb_log_pmf", "bnb_sample",
     "bnb_total_mass", "digamma_log_pmf", "digamma_sample", "digamma_sample_rounds",
     "digamma_total_mass", "nb_log_pmf", "nb_sample",
