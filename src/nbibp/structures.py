@@ -64,13 +64,24 @@ class Hyperparams:
 
 
 def _check_history(h, n):
+    """h as a tuple of Python ints, after checking its length, that every
+    entry is an integer >= 0 and that some entry is positive.
+
+    The checks are whole-tuple passes; only a history they refuse is walked
+    entry by entry, so its first bad entry decides the exception raised.
+    """
     if len(h) != n:
         raise ValueError(f"history length {len(h)} does not match n={n}")
-    if any(w != int(w) or w < 0 for w in h):
+    try:
+        ints = tuple(map(int, h))
+        clean = ints == tuple(h) and min(ints, default=0) >= 0
+    except (TypeError, ValueError, OverflowError):
+        clean = False
+    if not clean and any(w != int(w) or w < 0 for w in h):
         raise ValueError(f"history entries must be integers >= 0, got {h!r}")
-    if n > 0 and not any(h):
+    if n > 0 and not any(ints):
         raise ValueError("all-zero history: a feature nobody expresses cannot be observed")
-    return tuple(int(w) for w in h)
+    return ints
 
 
 @dataclass(frozen=True)
@@ -103,7 +114,7 @@ class FeatureArray:
         mat = np.asarray(mat)
         if mat.ndim != 2:
             raise ValueError(f"from_matrix needs a 2-d array, got shape {mat.shape}")
-        return cls(mat.shape[0], tuple(tuple(int(w) for w in mat[:, j]) for j in range(mat.shape[1])))
+        return cls(mat.shape[0], tuple(map(tuple, mat.T.tolist())))
 
     def to_matrix(self):
         return np.array([list(col) for col in self.columns], dtype=np.int64).T.reshape(

@@ -107,6 +107,24 @@ class TestBuffet:
             assert p > 1e-3
 
 
+class TestSharedRowStep:
+    """nbibp_simulate and predictive_step run the same row step, so n rows
+    simulated at once equal predictive_step folded n times from the empty
+    array, and leave the stream at the same place."""
+
+    @pytest.mark.parametrize("r, c, T", [(1.0, 1.0, 1.0), (1.5, 2.0, 0.5), (0.3, 0.7, 3.0)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_simulate_is_the_folded_step(self, r, c, T, seed):
+        hp = Hyperparams(r, c, T)
+        for n in range(7):
+            rng_a, rng_b = RngStream(seed, 0), RngStream(seed, 0)
+            folded = FeatureArray(0, ())
+            for _ in range(n):
+                folded = predictive_step(folded, hp, rng_b)
+            assert nbibp_simulate(n, hp, rng_a) == folded
+            assert rng_a.random() == rng_b.random()
+
+
 class TestFinitary:
     def test_shapes(self):
         hp = Hyperparams(2.0, 3.0, 0.5)

@@ -2,6 +2,7 @@ import itertools
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +81,14 @@ class TestContainers:
         with pytest.raises(ValueError):
             CombStruct(1, {(1,): 0})
 
+    def test_from_matrix_refuses_fractional_entries(self):
+        with pytest.raises(ValueError, match="integers >= 0"):
+            FeatureArray.from_matrix(np.array([[1.5, 0.0], [0.0, 2.0]]))
+        arr = FeatureArray.from_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
+        assert arr.columns == ((1, 0), (0, 2))
+        assert all(type(w) is int for col in arr.columns for w in col)
+        assert FeatureArray.from_matrix(arr.to_matrix()) == arr
+
     def test_matrix_round_trip(self):
         arr = FeatureArray(2, ((1, 0), (0, 2), (3, 1)))
         assert FeatureArray.from_matrix(arr.to_matrix()) == arr
@@ -96,6 +105,37 @@ class TestContainers:
         struct = CombStruct(2, {(1, 0): 2, (0, 2): 1})
         assert ordering_count(struct) == pytest.approx(math.log(3.0), rel=1e-14)
         assert ordering_count(CombStruct(1, {(2,): 1})) == 0.0
+
+
+class TestHistoryValidation:
+    """What a FeatureArray column may hold; among several bad entries the
+    first one decides the exception."""
+
+    @pytest.mark.parametrize(
+        "col, exc, match",
+        [
+            ((1.5, 1), ValueError, "integers >= 0"),
+            ((-1, 1), ValueError, "integers >= 0"),
+            ((math.nan, 1), ValueError, "NaN"),
+            ((math.inf, 1), OverflowError, "infinity"),
+            (("3", 1), ValueError, "integers >= 0"),
+            ((None, 1), TypeError, "int"),
+            ((0, 0), ValueError, "all-zero"),
+            ((1,), ValueError, "history length"),
+            ((1.5, None), ValueError, "integers >= 0"),
+            ((-1, math.inf), ValueError, "integers >= 0"),
+            ((None, 1.5), TypeError, "int"),
+        ],
+    )
+    def test_refused(self, col, exc, match):
+        with pytest.raises(exc, match=match):
+            FeatureArray(2, (col,))
+
+    @pytest.mark.parametrize("w, want", [(2.0, 2), (np.int64(3), 3), (True, 1)])
+    def test_accepted_as_python_ints(self, w, want):
+        arr = FeatureArray(2, ((0, w),))
+        assert arr.columns == ((0, want),)
+        assert type(arr.columns[0][1]) is int
 
 
 class TestHyperparams:
