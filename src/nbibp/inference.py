@@ -272,57 +272,45 @@ def _entry_row(state, model, M, sums, i, cols):
     return moved
 
 
-def _birth_law(hp, n):
-    """(rate, mass law) of a row's singleton births in an n-row array:
-    Poisson(c T [psi(c+nr) - psi(c+(n-1)r)])-many fresh columns with
-    digamma(r, c+(n-1)r) masses.  Fixed for a whole singleton pass."""
-    tail = hp.c + (n - 1) * hp.r
-    return hp.c * hp.T * harmonic_gap(hp.r, tail), DigammaParams(hp.r, tail)
-
-
-def _singleton_move(state, model, M, sums, i, birth):
+def _singleton_move(state, model, M, sums, i):
     """Birth/death of row i's private columns; the new (M, sums) on accept,
     None when the state is unchanged.
 
-    Proposes dropping every column only row i expresses and birthing a batch
-    of fresh ones at uniform slots, their number and masses from birth (see
-    _birth_law) and factor rows from the prior; prior and proposal terms
-    cancel, leaving the likelihood ratio of row i.  Only row i and Theta are
-    built to score the proposal; the new M is built on accept.  With no birth
-    and nothing private the proposal is the current state, which is accepted
-    without a draw, so the move returns at once.
+    Proposes dropping every column only row i expresses and birthing a
+    Poisson(c T [psi(c+nr) - psi(c+(n-1)r)]) batch of fresh ones at uniform
+    slots, masses from the digamma law and factor rows from the prior; prior
+    and proposal terms cancel, leaving the likelihood ratio of row i.  With no
+    birth and nothing private the proposal is the current state, which is
+    accepted without a draw, so the move returns at once.
     """
-    rng = state.rng
+    hp, rng = state.hp, state.rng
+    n = M.shape[0]
     row = M[i]
     private = (row > 0) & (sums == row)
-    rate, mass_law = birth
-    born = rng.poisson(rate)
+    theta_tail = hp.c + (n - 1) * hp.r
+    born = rng.poisson(hp.c * hp.T * harmonic_gap(hp.r, theta_tail))
     if born == 0 and not private.any():
         return None
+    mass_law = DigammaParams(hp.r, theta_tail)
     masses = [digamma_sample(mass_law, rng) for _ in range(born)]
     keep = np.flatnonzero(~private)
     kappa_star = keep.size + born
     fresh = np.zeros(kappa_star, dtype=bool)
+    new_M = np.zeros((n, kappa_star), dtype=np.int64)
+    new_theta = np.empty((kappa_star, model.V))
     if born:
         fresh[rng.choice(kappa_star, size=born, replace=False)] = True
-        new_row = np.zeros(kappa_star, dtype=np.int64)
-        new_row[fresh] = masses
-        new_row[~fresh] = row[keep]
-        new_theta = np.empty((kappa_star, model.V))
+        new_M[i, fresh] = masses
         new_theta[fresh] = _gamma_factors(rng, model.a_theta, model.b_theta, (born, model.V))
-        new_theta[~fresh] = state.Theta[keep]
-    else:
-        new_row, new_theta = row[keep], state.Theta[keep]
+    new_M[:, ~fresh] = M[:, keep]
+    new_theta[~fresh] = state.Theta[keep]
     if not _accept(
-        model.row_loglik(i, new_row.astype(np.float64) @ new_theta),
+        model.row_loglik(i, new_M[i].astype(np.float64) @ new_theta),
         model.row_loglik(i, row.astype(np.float64) @ state.Theta),
         rng,
     ):
         return None
     state.Theta = new_theta
-    new_M = np.zeros((M.shape[0], kappa_star), dtype=np.int64)
-    new_M[:, ~fresh] = M[:, keep]
-    new_M[i] = new_row
     return new_M, new_M.sum(axis=0)
 
 
@@ -342,8 +330,7 @@ def update_entry(state, model, i, j):
 def update_singletons(state, model, i):
     """Birth/death of row i's private features (see _singleton_move)."""
     M = state.W.to_matrix()
-    birth = _birth_law(state.hp, M.shape[0])
-    out = _singleton_move(state, model, M, M.sum(axis=0), i, birth)
+    out = _singleton_move(state, model, M, M.sum(axis=0), i)
     if out is not None:
         state.W = FeatureArray.from_matrix(out[0])
     return state
@@ -466,9 +453,8 @@ def sweep_once(state, model, config=ChainConfig()):
     for i in range(model.n):
         cols = np.flatnonzero(sums > M[i])
         moved = _entry_row(state, model, M, sums, i, cols) or moved
-    birth = _birth_law(state.hp, model.n)
     for i in range(model.n):
-        out = _singleton_move(state, model, M, sums, i, birth)
+        out = _singleton_move(state, model, M, sums, i)
         if out is not None:
             M, sums = out
             moved = True

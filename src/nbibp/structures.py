@@ -65,19 +65,14 @@ class Hyperparams:
 
 def _check_history(h, n):
     """h as a tuple of Python ints, after checking its length, that every
-    entry is an integer >= 0 and that some entry is positive.
-
-    The checks are whole-tuple passes; only a history they refuse is walked
-    entry by entry, so its first bad entry decides the exception raised.
-    """
+    entry is an integer >= 0 and that some entry is positive."""
     if len(h) != n:
         raise ValueError(f"history length {len(h)} does not match n={n}")
     try:
         ints = tuple(map(int, h))
-        clean = ints == tuple(h) and min(ints, default=0) >= 0
     except (TypeError, ValueError, OverflowError):
-        clean = False
-    if not clean and any(w != int(w) or w < 0 for w in h):
+        ints = None
+    if ints is None or ints != tuple(h) or min(ints, default=0) < 0:
         raise ValueError(f"history entries must be integers >= 0, got {h!r}")
     if n > 0 and not any(ints):
         raise ValueError("all-zero history: a feature nobody expresses cannot be observed")

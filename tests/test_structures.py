@@ -108,27 +108,23 @@ class TestContainers:
 
 
 class TestHistoryValidation:
-    """What a FeatureArray column may hold; among several bad entries the
-    first one decides the exception."""
+    """What a FeatureArray column may hold."""
 
     @pytest.mark.parametrize(
-        "col, exc, match",
+        "col, match",
         [
-            ((1.5, 1), ValueError, "integers >= 0"),
-            ((-1, 1), ValueError, "integers >= 0"),
-            ((math.nan, 1), ValueError, "NaN"),
-            ((math.inf, 1), OverflowError, "infinity"),
-            (("3", 1), ValueError, "integers >= 0"),
-            ((None, 1), TypeError, "int"),
-            ((0, 0), ValueError, "all-zero"),
-            ((1,), ValueError, "history length"),
-            ((1.5, None), ValueError, "integers >= 0"),
-            ((-1, math.inf), ValueError, "integers >= 0"),
-            ((None, 1.5), TypeError, "int"),
+            ((1.5, 1), "integers >= 0"),
+            ((-1, 1), "integers >= 0"),
+            ((math.nan, 1), "integers >= 0"),
+            ((math.inf, 1), "integers >= 0"),
+            (("3", 1), "integers >= 0"),
+            ((None, 1), "integers >= 0"),
+            ((0, 0), "all-zero"),
+            ((1,), "history length"),
         ],
     )
-    def test_refused(self, col, exc, match):
-        with pytest.raises(exc, match=match):
+    def test_refused(self, col, match):
+        with pytest.raises(ValueError, match=match):
             FeatureArray(2, (col,))
 
     @pytest.mark.parametrize("w, want", [(2.0, 2), (np.int64(3), 3), (True, 1)])
