@@ -53,32 +53,34 @@ def _check_count(z, low, name):
 
 @dataclass(frozen=True)
 class DigammaParams:
-    """Shape r > 0 and concentration theta > 0; support {1, 2, ...}."""
+    """Finite shape r > 0 and concentration theta > 0; support {1, 2, ...}."""
 
     r: float
     theta: float
 
     def __post_init__(self):
-        if not (self.r > 0.0 and self.theta > 0.0):
-            raise ValueError(f"DigammaParams needs r > 0 and theta > 0, got {self!r}")
+        if not (0.0 < self.r < math.inf and 0.0 < self.theta < math.inf):
+            raise ValueError(f"DigammaParams needs finite r, theta > 0, got {self!r}")
 
 
 @dataclass(frozen=True)
 class BnbParams:
-    """Count shape r > 0 and beta shapes alpha, beta > 0; support {0, 1, ...}."""
+    """Finite count shape r > 0 and beta shapes alpha, beta > 0; support {0, 1, ...}."""
 
     r: float
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not (self.r > 0.0 and self.alpha > 0.0 and self.beta > 0.0):
-            raise ValueError(f"BnbParams needs r, alpha, beta > 0, got {self!r}")
+        if not (
+            0.0 < self.r < math.inf and 0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf
+        ):
+            raise ValueError(f"BnbParams needs finite r, alpha, beta > 0, got {self!r}")
 
 
 @dataclass(frozen=True)
 class NbParams:
-    """Shape r > 0 and success probability p in (0, 1).
+    """Finite shape r > 0 and success probability p in (0, 1).
 
     p = 1 is refused: all mass would sit at infinity, so no distribution on
     the integers exists there.
@@ -88,8 +90,8 @@ class NbParams:
     p: float
 
     def __post_init__(self):
-        if not (self.r > 0.0 and 0.0 < self.p < 1.0):
-            raise ValueError(f"NbParams needs r > 0 and p in (0, 1), got {self!r}")
+        if not (0.0 < self.r < math.inf and 0.0 < self.p < 1.0):
+            raise ValueError(f"NbParams needs finite r > 0 and p in (0, 1), got {self!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,10 @@ Three routes produce draws from the same law:
 * nbibp_simulate: the sequential buffet construction.  Row m+1 revisits every
   existing dish k with a BNB(r, S_k, c + m r) count (S_k = servings so far)
   and opens Poisson(c T [psi(c + (m+1) r) - psi(c + m r)]) new dishes, each
-  with a digamma(r, c + m r) count.  One private row step, _grow, appends
-  that row in place to list columns with running column sums; nbibp_simulate
-  runs it n times from no columns and builds one FeatureArray at the end,
-  and predictive_step runs it once on a copy of the array's columns, so the
-  predictive and the prior share one code path.
+  with a digamma(r, c + m r) count.  predictive_step draws that row and
+  appends it in place to list columns with running column sums;
+  nbibp_simulate runs it n times from no columns and builds one FeatureArray
+  at the end, so the predictive and the prior share one code path.
 * bnbp_sample_finitary: the one-shot finite construction of the process
   masses themselves, Poisson-many atoms with digamma counts plus BNB counts
   at fixed atoms of the base, which no other route or module takes.
@@ -44,16 +43,18 @@ __all__ = [
 ]
 
 
-def _grow(columns, sums, m, hp, rng):
-    """Append row m + 1 in place to the m-row list columns and their sums.
+def predictive_step(columns, sums, m, hp, rng):
+    """Append row m + 1, drawn from the law of the next row given the first
+    m, in place to the m-row list columns and their running sums.
 
-    Existing column k receives a BNB(r, S_k, c + m r) count; fresh columns
-    arrive Poisson(c T [psi(c + (m+1) r) - psi(c + m r)])-many with
+    Existing column k receives a BNB(r, S_k, c + m r) count, drawn as its
+    beta-mixed negative binomial; fresh columns arrive
+    Poisson(c T [psi(c + (m+1) r) - psi(c + m r)])-many with
     digamma(r, c + m r) counts, in draw order after the existing columns.
     """
     cnr = hp.c + m * hp.r
     for k, col in enumerate(columns):
-        z = bnb_sample(BnbParams(hp.r, float(sums[k]), cnr), rng)
+        z = _nb_draw(hp.r, rng.beta(sums[k], cnr), rng)
         col.append(z)
         sums[k] += z
     # the leftover mass c T / (c + m r) scaled back up: this product can differ
@@ -66,21 +67,13 @@ def _grow(columns, sums, m, hp, rng):
         sums.append(z)
 
 
-def predictive_step(arr, hp, rng):
-    """Append one row drawn from the law of the next row given the array
-    (see _grow)."""
-    columns = [list(col) for col in arr.columns]
-    _grow(columns, list(arr.column_sums()), arr.n, hp, rng)
-    return FeatureArray(arr.n + 1, tuple(map(tuple, columns)))
-
-
 def nbibp_simulate(n, hp, rng):
     """n rows of the buffet construction, columns in creation order."""
     if n != int(n) or n < 0:
         raise ValueError(f"nbibp_simulate needs integer n >= 0, got {n!r}")
     columns, sums = [], []
     for m in range(int(n)):
-        _grow(columns, sums, m, hp, rng)
+        predictive_step(columns, sums, m, hp, rng)
     return FeatureArray(int(n), tuple(map(tuple, columns)))
 
 

@@ -21,12 +21,12 @@ failing.
 At rest the chain holds W as a validated FeatureArray.  Within a sweep the
 entry and singleton passes run on an int64 n-by-kappa copy of W with its
 column sums, and W is rebuilt from it once, after both passes, if a move was
-accepted.  The entry pass goes row by row: it computes a row's rates
-W_i Theta once, moves them in O(V) for a proposal that keeps its entry
-positive, and keeps the rates of an accepted one.  update_entry (the row
-kernel on one column) and update_singletons exist for tests and tracing.
-update_theta splits every positive count that has a positive rate in one
-multinomial call.
+accepted.  The two kernels work on that copy: update_entry refreshes one
+row's entries, computing the row's rates W_i Theta once, moving them in O(V)
+for a proposal that keeps its entry positive and keeping the rates of an
+accepted one; update_singletons runs one row's birth/death move.  sweep_once
+calls each once per row.  update_theta splits every positive count that has
+a positive rate in one multinomial call.
 
 A model built with y=None has a constant likelihood: every acceptance ratio
 is one and Theta reverts to its prior.  The chain then targets the prior
@@ -90,8 +90,8 @@ class PoissonFactorModel:
             self.n, self.V = y.shape
         if self.n < 1 or self.V < 1:
             raise ValueError(f"model needs n, V >= 1, got n={self.n}, V={self.V}")
-        if not (a_theta > 0.0 and b_theta > 0.0):
-            raise ValueError(f"factor prior needs a, b > 0, got ({a_theta!r}, {b_theta!r})")
+        if not (0.0 < a_theta < math.inf and 0.0 < b_theta < math.inf):
+            raise ValueError(f"factor prior needs finite a, b > 0, got ({a_theta!r}, {b_theta!r})")
         self.a_theta = float(a_theta)
         self.b_theta = float(b_theta)
 
@@ -133,8 +133,8 @@ class ChainState:
         if self.Theta.ndim != 2:
             raise ValueError(f"Theta must be 2-d, got ndim={self.Theta.ndim}")
         a, b = self.t_prior
-        if not (a > 0.0 and b > 0.0):
-            raise ValueError(f"T prior needs alpha, beta > 0, got {self.t_prior!r}")
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise ValueError(f"T prior needs finite alpha, beta > 0, got {self.t_prior!r}")
         self.t_prior = (float(a), float(b))
         self.check()
 
@@ -152,8 +152,8 @@ class ChainState:
 
 @dataclass(frozen=True)
 class HyperPrior:
-    """Prior for a positive scalar: kind 'gamma' with (shape a, rate b) or
-    'lognormal' with (mu a, sigma b)."""
+    """Prior for a positive scalar: kind 'gamma' with finite (shape a > 0,
+    rate b > 0) or 'lognormal' with finite (mu a, sigma b > 0)."""
 
     kind: str = "gamma"
     a: float = 1.0
@@ -162,10 +162,10 @@ class HyperPrior:
     def __post_init__(self):
         if self.kind not in ("gamma", "lognormal"):
             raise ValueError(f"unknown prior kind {self.kind!r}")
-        if self.kind == "gamma" and not (self.a > 0.0 and self.b > 0.0):
-            raise ValueError(f"gamma prior needs a, b > 0, got ({self.a!r}, {self.b!r})")
-        if self.kind == "lognormal" and not self.b > 0.0:
-            raise ValueError(f"lognormal prior needs sigma > 0, got {self.b!r}")
+        if self.kind == "gamma" and not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise ValueError(f"gamma prior needs finite a, b > 0, got ({self.a!r}, {self.b!r})")
+        if self.kind == "lognormal" and not (math.isfinite(self.a) and 0.0 < self.b < math.inf):
+            raise ValueError(f"lognormal prior needs finite mu and sigma > 0, got {self!r}")
 
     def log_density(self, x):
         if x <= 0.0:
@@ -236,9 +236,10 @@ def _accept(delta_new, delta_old, rng):
     return d >= 0.0 or rng.random() < math.exp(d)
 
 
-def _entry_row(state, model, M, sums, i, cols):
-    """MH refresh of M[i, j] in place for each j in cols, in order, column
-    sums kept current; True if any proposal was accepted.
+def update_entry(state, model, M, sums, i, cols):
+    """MH refresh of M[i, j] in place for each j in cols, in order, on the
+    count matrix M of W with its column sums kept current; True if any
+    proposal was accepted, and the caller then rebuilds W from M.
 
     Each proposal is the exact conditional of its entry under the array prior
     given everything else, so the acceptance ratio is the likelihood ratio
@@ -272,9 +273,10 @@ def _entry_row(state, model, M, sums, i, cols):
     return moved
 
 
-def _singleton_move(state, model, M, sums, i):
-    """Birth/death of row i's private columns; the new (M, sums) on accept,
-    None when the state is unchanged.
+def update_singletons(state, model, M, sums, i):
+    """Birth/death of row i's private columns in the count matrix M of W,
+    whose column sums are sums.  On accept it sets state.Theta and returns
+    the new (M, sums), from which the caller rebuilds W; else None.
 
     Proposes dropping every column only row i expresses and birthing a
     Poisson(c T [psi(c+nr) - psi(c+(n-1)r)]) batch of fresh ones at uniform
@@ -312,28 +314,6 @@ def _singleton_move(state, model, M, sums, i):
         return None
     state.Theta = new_theta
     return new_M, new_M.sum(axis=0)
-
-
-def update_entry(state, model, i, j):
-    """MH refresh of W[i, j] for a column some other row also expresses."""
-    M = state.W.to_matrix()
-    sums = M.sum(axis=0)
-    if sums[j] - M[i, j] < 1:
-        raise ValueError(
-            f"entry ({i}, {j}) is a singleton of its row; the birth/death move owns it"
-        )
-    if _entry_row(state, model, M, sums, i, [j]):
-        state.W = FeatureArray.from_matrix(M)
-    return state
-
-
-def update_singletons(state, model, i):
-    """Birth/death of row i's private features (see _singleton_move)."""
-    M = state.W.to_matrix()
-    out = _singleton_move(state, model, M, M.sum(axis=0), i)
-    if out is not None:
-        state.W = FeatureArray.from_matrix(out[0])
-    return state
 
 
 def update_theta(state, model):
@@ -452,9 +432,9 @@ def sweep_once(state, model, config=ChainConfig()):
     moved = False
     for i in range(model.n):
         cols = np.flatnonzero(sums > M[i])
-        moved = _entry_row(state, model, M, sums, i, cols) or moved
+        moved = update_entry(state, model, M, sums, i, cols) or moved
     for i in range(model.n):
-        out = _singleton_move(state, model, M, sums, i)
+        out = update_singletons(state, model, M, sums, i)
         if out is not None:
             M, sums = out
             moved = True

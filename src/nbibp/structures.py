@@ -47,7 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Count shape r > 0, concentration c > 0, base mass T > 0.
+    """Count shape r, concentration c and base mass T, each finite and > 0.
 
     The base measure is diffuse with total mass T, as the buffet, the p.m.f.s
     and the MCMC assume; fixed atoms enter only the finitary construction,
@@ -59,8 +59,8 @@ class Hyperparams:
     T: float
 
     def __post_init__(self):
-        if not (self.r > 0.0 and self.c > 0.0 and self.T > 0.0):
-            raise ValueError(f"Hyperparams needs r, c, T > 0, got {self!r}")
+        if not (0.0 < self.r < math.inf and 0.0 < self.c < math.inf and 0.0 < self.T < math.inf):
+            raise ValueError(f"Hyperparams needs finite r, c, T > 0, got {self!r}")
 
 
 def _check_history(h, n):
@@ -115,9 +115,6 @@ class FeatureArray:
         return np.array([list(col) for col in self.columns], dtype=np.int64).T.reshape(
             self.n, self.kappa
         )
-
-    def column_sums(self):
-        return tuple(sum(col) for col in self.columns)
 
 
 @dataclass(frozen=True)

@@ -277,6 +277,25 @@ class TestErrorBoundary:
             ["infer", "--synthetic", "--r-prior", "gamma:-1,1", "--seed", "1"],
             ["validate", "--suite", "none", "--suite", "t-update"],
             ["validate", "--suite", "no-such-suite"],
+            # an infinite parameter is refused before any draw, like a zero one
+            ["simulate", "--n", "2", "--seed", "1", "--c", "inf"],
+            ["simulate", "--n", "2", "--seed", "1", "--mass-T", "inf"],
+            ["sample", "--dist", "digamma", "--theta", "inf", "--seed", "1"],
+            ["sample", "--dist", "bnb", "--alpha", "inf", "--seed", "1"],
+            ["sample", "--dist", "nb", "--r", "inf", "--seed", "1"],
+            *(
+                ["infer", "--synthetic", "--n", "3", "--V", "2", "--sweeps", "2",
+                 "--seed", "1", *flag]
+                for flag in (
+                    ["--a-theta", "inf"],
+                    ["--b-theta", "inf"],
+                    ["--t-alpha", "inf"],
+                    ["--t-beta", "inf"],
+                    ["--c-prior", "gamma:inf,1"],
+                    ["--r-prior", "lognormal:inf,1"],
+                    ["--r-prior", "lognormal:0,inf"],
+                )
+            ),
         ]
         for argv in bad:
             code = exit_status(argv)

@@ -68,6 +68,17 @@ class TestDomains:
             BnbParams(1.0, -1.0, 1.0)
         with pytest.raises(ValueError):
             NbParams(1.0, 0.0)
+        for bad in (math.inf, math.nan):
+            for make in (
+                lambda: DigammaParams(bad, 1.0),
+                lambda: DigammaParams(1.0, bad),
+                lambda: BnbParams(bad, 1.0, 1.0),
+                lambda: BnbParams(1.0, bad, 1.0),
+                lambda: BnbParams(1.0, 1.0, bad),
+                lambda: NbParams(bad, 0.5),
+            ):
+                with pytest.raises(ValueError):
+                    make()
 
     def test_degenerate_success_probability(self):
         # at p = 1 all mass sits at infinity: no law on the integers exists

@@ -24,39 +24,52 @@ def poisson_pmf(k, lam):
 
 
 class TestPredictiveLaw:
-    """predictive_step's laws, read off the parameters it hands the samplers."""
+    """predictive_step's laws, read off the parameters it hands the stream and
+    the digamma sampler."""
 
     @staticmethod
-    def laws(monkeypatch, arr, hp):
-        seen = {"bnb": [], "digamma": [], "poisson": []}
-        monkeypatch.setattr(
-            generative, "bnb_sample", lambda p, rng: seen["bnb"].append(p) or 0
-        )
+    def laws(monkeypatch, columns, m, hp):
+        seen = {"beta": [], "gamma": [], "digamma": [], "poisson": []}
         monkeypatch.setattr(
             generative, "digamma_sample", lambda p, rng: seen["digamma"].append(p) or 1
         )
 
         class TwoFresh:
+            def beta(self, a, b):
+                seen["beta"].append((a, b))
+                return 0.5
+
+            def gamma(self, shape):
+                seen["gamma"].append(shape)
+                return 0.0  # a zero NB rate, so the old dish draws count 0
+
             def poisson(self, lam):
+                if lam == 0.0:
+                    return 0
                 seen["poisson"].append(lam)
                 return 2
 
-        grown = predictive_step(arr, hp, TwoFresh())
-        assert grown.n == arr.n + 1 and grown.kappa == arr.kappa + 2
+        kappa = len(columns)
+        sums = [sum(col) for col in columns]
+        predictive_step(columns, sums, m, hp, TwoFresh())
+        assert len(columns) == kappa + 2 and all(len(col) == m + 1 for col in columns)
+        assert sums == [sum(col) for col in columns]
         return seen
 
     def test_old_dish_bnb_shapes(self, monkeypatch):
-        # m = 2 rows with serving totals S = (3, 1): BNB(r, S_k, c + m r)
+        # m = 2 rows with serving totals S = (3, 1): BNB(r, S_k, c + m r), a
+        # NB(r, p) count with p ~ Beta(S_k, c + m r)
         hp = Hyperparams(1.5, 2.0, 0.5)
-        seen = self.laws(monkeypatch, FeatureArray(2, ((2, 1), (0, 1))), hp)
-        assert seen["bnb"] == [BnbParams(1.5, 3.0, 5.0), BnbParams(1.5, 1.0, 5.0)]
+        seen = self.laws(monkeypatch, [[2, 1], [0, 1]], 2, hp)
+        assert seen["beta"] == [(3, 5.0), (1, 5.0)]
+        assert seen["gamma"] == [1.5, 1.5]
         assert seen["digamma"] == [DigammaParams(1.5, 5.0)] * 2
         assert seen["poisson"] == [pytest.approx(2.0 * 0.5 * harmonic_gap(1.5, 5.0))]
 
     def test_first_row_uses_prior_rate(self, monkeypatch):
         hp = Hyperparams(2.0, 3.0, 1.5)
-        seen = self.laws(monkeypatch, FeatureArray(0, ()), hp)
-        assert seen["bnb"] == []
+        seen = self.laws(monkeypatch, [], 0, hp)
+        assert seen["beta"] == [] and seen["gamma"] == []
         assert seen["digamma"] == [DigammaParams(2.0, 3.0)] * 2
         assert seen["poisson"] == [pytest.approx(3.0 * 1.5 * harmonic_gap(2.0, 3.0))]
 
@@ -72,12 +85,13 @@ class TestBuffet:
     def test_step_keeps_existing_columns(self):
         hp = Hyperparams(1.0, 1.0, 1.0)
         rng = RngStream(22, 0)
-        arr = FeatureArray(2, ((1, 0), (0, 2)))
-        grown = predictive_step(arr, hp, rng)
-        assert grown.n == 3
-        assert grown.kappa >= 2
-        for old, new in zip(arr.columns, grown.columns):
-            assert new[:2] == old
+        columns, sums = [[1, 0], [0, 2]], [1, 2]
+        predictive_step(columns, sums, 2, hp, rng)
+        assert len(columns) >= 2 and all(len(col) == 3 for col in columns)
+        assert [col[:2] for col in columns[:2]] == [[1, 0], [0, 2]]
+        assert all(col[:2] == [0, 0] for col in columns[2:])
+        assert sums == [sum(col) for col in columns]
+        FeatureArray(3, tuple(map(tuple, columns)))  # a valid 3-row array
 
     def test_feature_total_matches_harmonic_rate(self):
         # E[kappa after n rows] = c T (psi(c + n r) - psi(c))
@@ -108,9 +122,8 @@ class TestBuffet:
 
 
 class TestSharedRowStep:
-    """nbibp_simulate and predictive_step run the same row step, so n rows
-    simulated at once equal predictive_step folded n times from the empty
-    array, and leave the stream at the same place."""
+    """n rows simulated at once equal predictive_step folded n times from no
+    columns, and leave the stream at the same place."""
 
     @pytest.mark.parametrize("r, c, T", [(1.0, 1.0, 1.0), (1.5, 2.0, 0.5), (0.3, 0.7, 3.0)])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -118,9 +131,10 @@ class TestSharedRowStep:
         hp = Hyperparams(r, c, T)
         for n in range(7):
             rng_a, rng_b = RngStream(seed, 0), RngStream(seed, 0)
-            folded = FeatureArray(0, ())
-            for _ in range(n):
-                folded = predictive_step(folded, hp, rng_b)
+            columns, sums = [], []
+            for m in range(n):
+                predictive_step(columns, sums, m, hp, rng_b)
+            folded = FeatureArray(n, tuple(map(tuple, columns)))
             assert nbibp_simulate(n, hp, rng_a) == folded
             assert rng_a.random() == rng_b.random()
 

@@ -14,7 +14,6 @@ from nbibp.inference import (
     HyperPrior,
     PoissonFactorModel,
     _accept,
-    _entry_row,
     _slice_update,
     chain_record,
     log_joint,
@@ -63,10 +62,20 @@ def theta_reference(state, model):
     return state.rng.gamma(shape, 1.0 / rate)
 
 
+def move(kernel, state, model, *args):
+    """Run update_entry or update_singletons on the count matrix of state.W
+    and rebuild W if the kernel moved it: in place (True) or to the (M, sums)
+    it returns."""
+    M = state.W.to_matrix()
+    out = kernel(state, model, M, M.sum(axis=0), *args)
+    if out:
+        state.W = FeatureArray.from_matrix(M if out is True else out[0])
+
+
 def entry_reference(state, model, M, sums, i, j):
-    """The per-entry move that _entry_row replaces, kept as its oracle: both
-    row log-likelihoods come from a fresh mat-vec at every proposal that
-    differs from its entry.  True on accept."""
+    """The per-entry move that update_entry's row pass replaces, kept as its
+    oracle: both row log-likelihoods come from a fresh mat-vec at every
+    proposal that differs from its entry.  True on accept."""
     hp = state.hp
     old = M[i, j]
     prop = bnb_sample(
@@ -89,13 +98,13 @@ def entry_reference(state, model, M, sums, i, j):
 
 
 def entry_pass(state, model, reference=False):
-    """One entry pass in sweep order, by _entry_row per row or, as the
+    """One entry pass in sweep order, by update_entry per row or, as the
     oracle, by entry_reference per entry; the final (M, column sums)."""
     M = state.W.to_matrix()
     sums = M.sum(axis=0)
     for i in range(model.n):
         if not reference:
-            _entry_row(state, model, M, sums, i, np.flatnonzero(sums > M[i]))
+            update_entry(state, model, M, sums, i, np.flatnonzero(sums > M[i]))
             continue
         for j in range(M.shape[1]):
             if sums[j] > M[i, j]:
@@ -164,6 +173,15 @@ class TestModel:
             PoissonFactorModel([[0.5, 1.0]])
         with pytest.raises(ValueError):
             PoissonFactorModel([[1]], a_theta=0.0)
+        W, hp = FeatureArray(1, ((1,),)), Hyperparams(1.0, 1.0, 1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                PoissonFactorModel([[1]], a_theta=bad)
+            with pytest.raises(ValueError):
+                PoissonFactorModel([[1]], b_theta=bad)
+            for t_prior in ((bad, 1.0), (1.0, bad)):
+                with pytest.raises(ValueError):
+                    ChainState(W, np.ones((1, 1)), hp, t_prior)
 
     def test_impossible_data(self):
         m = PoissonFactorModel([[2]])
@@ -206,7 +224,7 @@ class TestEntryKernel:
         state = flat_state(FeatureArray(2, ((0, 2),)), hp, 1)
         model = PoissonFactorModel(n=2, V=1)
         with pytest.raises(ValueError):
-            update_entry(state, model, 1, 0)
+            move(update_entry, state, model, 1, [0])
 
     def test_flat_marginal_is_conditional_prior(self):
         # with a flat likelihood every proposal is accepted, so the entry's
@@ -221,7 +239,7 @@ class TestEntryKernel:
             state = ChainState(
                 FeatureArray(2, ((1, 3),)), np.full((1, 1), 1.0), hp, (1.0, 1.0), rng
             )
-            update_entry(state, model, 1, 0)
+            move(update_entry, state, model, 1, [0])
             seen[state.W.columns[0][1]] += 1
         p, cells, _ = gof_chi_square(seen, lambda z: math.exp(bnb_log_pmf(law, z)), reps)
         assert cells >= 4
@@ -250,7 +268,7 @@ class TestEntryKernel:
                 state = ChainState(
                     FeatureArray(2, ((1, z),)), theta.copy(), hp, (1.0, 1.0), rng
                 )
-                update_entry(state, model, 1, 0)
+                move(update_entry, state, model, 1, [0])
                 trans[z][state.W.columns[0][1]] += 1
         for z in zs:
             assert trans[z][0] == 0  # impossible states never accepted
@@ -317,7 +335,7 @@ class TestSingletonKernel:
             state = ChainState(
                 FeatureArray(3, base), np.full((2, 1), 1.0), hp, (1.0, 1.0), rng
             )
-            update_singletons(state, model, 1)
+            move(update_singletons, state, model, 1)
             J = sum(1 for col in state.W.columns if col[1] and sum(col) == col[1])
             seen[J] += 1
         p, cells, _ = gof_chi_square(seen, lambda k: poisson_pmf(k, lam), reps)
@@ -333,7 +351,7 @@ class TestSingletonKernel:
             state = ChainState(
                 FeatureArray(3, base), np.full((3, 1), 1.0), hp, (1.0, 1.0), rng
             )
-            update_singletons(state, model, 1)
+            move(update_singletons, state, model, 1)
             kept = [col for col in state.W.columns if sum(col) != col[1] or col[1] == 0]
             for col in base[:2]:
                 assert col in kept
@@ -349,7 +367,7 @@ class TestSingletonKernel:
             W = FeatureArray(2, ((1, 0), (0, 5)))
             theta = np.array([[0.1], [10.0]])
             state = ChainState(W, theta, hp, (1.0, 1.0), rng)
-            update_singletons(state, model, 1)
+            move(update_singletons, state, model, 1)
             if state.W is W:
                 rejected += 1
                 assert state.Theta is theta
@@ -481,24 +499,24 @@ class TestSweepStructure:
         calls = Counter()
         where = ["reference"]
         row_loglik = model.row_loglik
-        entry_row = inference._entry_row
+        update = inference.update_entry
 
         def counted_row_loglik(i, rates):
             calls[where[0]] += 1
             return row_loglik(i, rates)
 
-        def counted_entry_row(*args):
+        def counted_update(*args):
             calls["rows"] += 1
             where[0] = "entry"
             try:
-                return entry_row(*args)
+                return update(*args)
             finally:
                 where[0] = "other"
 
         monkeypatch.setattr(model, "row_loglik", counted_row_loglik)
         entry_pass(twin, model, reference=True)
         differing = calls["reference"] // 2
-        monkeypatch.setattr(inference, "_entry_row", counted_entry_row)
+        monkeypatch.setattr(inference, "update_entry", counted_update)
         sweep_once(state, model, ChainConfig())
         assert calls["rows"] == model.n
         assert differing > model.n  # two calls per proposal would break the bound
@@ -620,6 +638,12 @@ class TestHyperPrior:
             ("gamma", 1.0, -1.0),
             ("lognormal", 0.0, 0.0),
             ("lognormal", 1.0, -0.5),
+            ("gamma", math.inf, 1.0),
+            ("gamma", 1.0, math.inf),
+            ("lognormal", math.inf, 1.0),
+            ("lognormal", -math.inf, 1.0),
+            ("lognormal", math.nan, 1.0),
+            ("lognormal", 0.0, math.inf),
             ("weibull", 1.0, 1.0),
         ]:
             with pytest.raises(ValueError):

@@ -1,13 +1,25 @@
 """The package's public surface: its export list, a caller in the package or
 the benchmark for every exported name, and every name the benchmark's span
-tracer (perfbench/spans.py) wraps."""
+tracer (perfbench/spans.py) wraps, which must see the calls the package
+makes."""
 
 import ast
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import nbibp
 import nbibp.cli  # the tracer reaches cli.main; the package does not import it
+from nbibp import (
+    ChainState,
+    FeatureArray,
+    Hyperparams,
+    PoissonFactorModel,
+    RngStream,
+    nbibp_simulate,
+    sweep_once,
+)
 
 # The recorded export set: adding or dropping a public name means editing it.
 EXPORTS = {
@@ -57,10 +69,10 @@ def test_submodule_export_lists():
 
 
 class Uses(ast.NodeVisitor):
-    """Identifiers a file uses: loaded names, attribute names, and string
-    constants equal to an identifier (the span tracer names its targets so).
-    Definitions, imports, `__all__` lists and a name's use inside its own
-    definition are not uses."""
+    """Identifiers a file uses: loaded names and attribute names.  Definitions,
+    imports, `__all__` lists, a name's use inside its own definition and
+    string constants (such as the names the span tracer wraps) are not
+    uses."""
 
     def __init__(self):
         self.names = set()
@@ -88,10 +100,6 @@ class Uses(ast.NodeVisitor):
     def visit_Attribute(self, node):
         self.use(node.attr)
         self.generic_visit(node)
-
-    def visit_Constant(self, node):
-        if isinstance(node.value, str) and node.value.isidentifier():
-            self.use(node.value)
 
 
 def test_every_export_has_a_caller():
@@ -136,3 +144,35 @@ def test_tracer_targets_exist_and_uninstall_cleanly():
         changed = [k for k, v in names.items() if vars(m)[k] is not v]
         assert changed == [], (m.__name__, changed)
     assert [vars(cls)[method] for cls, method in methods] == originals
+
+
+def test_tracer_sees_the_kernels():
+    # sweep_once and nbibp_simulate call the row kernels through their module
+    # names, so the tracer's wrappers count one call per row; tracing takes
+    # no draws, so the results equal an untraced twin's
+    spans = load_spans()
+    hp = Hyperparams(1.0, 1.0, 2.0)
+    W = FeatureArray(4, ((1, 0, 2, 0), (0, 1, 1, 3), (2, 0, 0, 1)))
+    y = [[1, 0], [2, 1], [3, 4], [0, 2]]
+
+    def run():
+        model = PoissonFactorModel(y)
+        state = ChainState(W, np.ones((3, 2)), hp, (1.0, 1.0), RngStream(7, 0))
+        sweep_once(state, model)
+        return state.W, state.Theta, state.hp, nbibp_simulate(3, hp, RngStream(7, 1))
+
+    tracer = spans.Tracer(nbibp)
+    try:
+        tracer.install()
+        tracer.active = True
+        traced = run()
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    stats = tracer.stats()
+    assert stats["inference.update_entry.calls"] == W.n
+    assert stats["inference.update_singletons.calls"] == W.n
+    assert stats["generative.predictive_step.calls"] == 3
+    plain = run()
+    assert traced[0] == plain[0] and traced[2:] == plain[2:]
+    assert np.array_equal(traced[1], plain[1])

@@ -93,7 +93,6 @@ class TestContainers:
         arr = FeatureArray(2, ((1, 0), (0, 2), (3, 1)))
         assert FeatureArray.from_matrix(arr.to_matrix()) == arr
         assert arr.to_matrix().shape == (2, 3)
-        assert arr.column_sums() == (1, 2, 4)
 
     def test_collapse_counts_duplicates(self):
         arr = FeatureArray(2, ((1, 0), (1, 0), (0, 2)))
@@ -142,6 +141,10 @@ class TestHyperparams:
             Hyperparams(1.0, -2.0, 1.0)
         with pytest.raises(ValueError):
             Hyperparams(1.0, 1.0, 0.0)
+        for bad in (math.inf, math.nan):
+            for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+                with pytest.raises(ValueError):
+                    Hyperparams(*args)
 
 
 class TestPmfFrozenValues:
