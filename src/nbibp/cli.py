@@ -30,8 +30,6 @@ import contextlib
 import json
 import sys
 
-import numpy as np
-
 from .distributions import (
     BnbParams,
     DigammaParams,
@@ -192,13 +190,13 @@ def _load_counts(path):
         obj = None
     y = obj.get("y") if isinstance(obj, dict) else obj
     if isinstance(y, list):  # JSON; a 1x1 whitespace file also parses, as a number
-        return np.asarray(y)
+        return y
     rows = [
         [int(tok) for tok in ln.split()] for ln in text.splitlines() if ln.strip()
     ]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError(f"{path}: not a rectangular count matrix")
-    return np.asarray(rows, dtype=np.int64)
+    return rows
 
 
 def cmd_infer(args):

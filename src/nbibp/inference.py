@@ -14,9 +14,9 @@ updates for c and r on the array's sufficient statistics, built once per
 update.  Rejected proposals leave everything but the stream position untouched.
 
 A state the data rule out (a positive count on a zero rate) has log-likelihood
--inf.  The MH moves accept any possible proposal from it, and the Theta draw
-leaves such counts unsplit, so a chain started there moves on instead of
-failing.
+-inf, which xlogy(y, rate) gives with no special case.  The MH moves accept
+any possible proposal from it, and the Theta draw leaves such counts unsplit,
+so a chain started there moves on instead of failing.
 
 At rest the chain holds W as a validated FeatureArray.  Within a sweep the
 entry and singleton passes run on an int64 n-by-kappa copy of W with its
@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from .distributions import DigammaParams, _nb_draw, digamma_sample
 from .generative import nbibp_simulate
@@ -79,13 +79,16 @@ class PoissonFactorModel:
             y = np.asarray(y)
             if y.ndim != 2:
                 raise ValueError(f"y must be a 2-d count matrix, got ndim={y.ndim}")
-            if not np.issubdtype(y.dtype, np.integer):
-                if y.dtype.kind not in "bf" or not np.all(np.isfinite(y) & (y == np.floor(y))):
+            if y.dtype.kind not in "iu":  # bools, floats, Python ints past 64 bits
+                y = y.astype(object)  # Python numbers, which meet the bounds below exactly
+                if not all(isinstance(v, int) or isinstance(v, float) and v.is_integer()
+                           for v in y.flat):
                     raise ValueError("y entries must be integers")
-            y = y.astype(np.int64)
             if (y < 0).any():
                 raise ValueError("y entries must be >= 0")
-            self.y = y
+            if (y >= 2**63).any():
+                raise ValueError("y entries must be < 2**63")
+            self.y = y = y.astype(np.int64)
             self._log_fact = gammaln(y + 1.0)
             self.n, self.V = y.shape
         if self.n < 1 or self.V < 1:
@@ -96,24 +99,17 @@ class PoissonFactorModel:
         self.b_theta = float(b_theta)
 
     def row_loglik(self, i, rates):
-        """log p(y_i | rates); -inf when a zero rate meets a positive count."""
+        """log p(y_i | rates); xlogy makes it -inf where a zero rate meets a positive count."""
         if self.y is None:
             return 0.0
-        ys = self.y[i]
-        dead = rates <= 0.0
-        if not dead.any():
-            return float((ys * np.log(rates) - rates - self._log_fact[i]).sum())
-        if np.any(dead & (ys > 0)):
-            return -math.inf
-        live = ~dead
-        lam = rates[live]
-        return float((ys[live] * np.log(lam) - lam - self._log_fact[i][live]).sum())
+        return float((xlogy(self.y[i], rates) - rates - self._log_fact[i]).sum())
 
     def loglik(self, w_mat, theta):
+        """log p(y | W Theta): row_loglik's expression over every row at once."""
         if self.y is None:
             return 0.0
-        w_mat = np.asarray(w_mat, dtype=np.float64)
-        return sum(self.row_loglik(i, w_mat[i] @ theta) for i in range(self.n))
+        rates = np.asarray(w_mat, dtype=np.float64) @ theta
+        return float((xlogy(self.y, rates) - rates - self._log_fact).sum())
 
 
 @dataclass
@@ -202,12 +198,10 @@ class ChainConfig:
 def log_joint(state, model):
     """log p(y, W, Theta | T, c, r); -inf when the data is impossible."""
     lp = log_pmf_array(state.W, state.hp)
-    th = state.Theta
-    if th.size:
-        a, b = model.a_theta, model.b_theta
-        lp += float(
-            np.sum((a - 1.0) * np.log(th) - b * th) + th.size * (a * math.log(b) - gammaln(a))
-        )
+    th, a, b = state.Theta, model.a_theta, model.b_theta
+    lp += float(
+        np.sum((a - 1.0) * np.log(th) - b * th) + th.size * (a * math.log(b) - gammaln(a))
+    )
     ll = model.loglik(state.W.to_matrix(), state.Theta)
     return lp + ll
 
@@ -339,11 +333,9 @@ def update_theta(state, model):
     live = total > 0.0
     rows, cols, weights, total = rows[live], cols[live], weights[live], total[live]
     draws = rng.multinomial(model.y[rows, cols], weights / total[:, None])
-    # alloc[j, v] = sum of draws[:, j] over the cells in column v
-    slot = np.arange(kappa) * model.V + cols[:, None]
-    alloc = np.bincount(slot.ravel(), weights=draws.ravel(), minlength=kappa * model.V)
-    alloc = alloc.reshape(kappa, model.V)
-    shape = model.a_theta + alloc
+    alloc = np.zeros((model.n * model.V, kappa), dtype=np.int64)
+    alloc[rows * model.V + cols] = draws
+    shape = model.a_theta + alloc.reshape(model.n, model.V, kappa).sum(axis=0).T
     rate = model.b_theta + w_mat.sum(axis=0)[:, None]
     state.Theta = _gamma_factors(rng, shape, rate)
     return state

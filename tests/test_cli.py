@@ -377,6 +377,25 @@ class TestErrorBoundary:
         ]
 
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("y.txt", "99999999999999999999999\n"),
+            ("y.json", '{"y": [[1e300]]}'),
+            ("y.json", '{"y": [[100000000000000000000000000000]]}'),
+        ],
+        ids=["text-int", "json-float", "json-int"],
+    )
+    def test_counts_past_int64_refused(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code = cli.main(["infer", "--in", str(path), "--sweeps", "2", "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "nbibp: error: y entries must be < 2**63"
+        ]
+
+
 class TestValidate:
     def test_none_reports_pass(self, capsys):
         code, lines = run_main(capsys, "validate", "--suite", "none")

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
-from scipy.stats import lognorm
+from scipy.stats import lognorm, poisson
 
 import nbibp.inference as inference
 from nbibp.distributions import BnbParams, bnb_log_pmf, bnb_sample
@@ -171,6 +171,9 @@ class TestModel:
             PoissonFactorModel([[1, -1]])
         with pytest.raises(ValueError):
             PoissonFactorModel([[0.5, 1.0]])
+        for big in ([[2**63]], [[1e300]]):
+            with pytest.raises(ValueError, match=r"< 2\*\*63"):
+                PoissonFactorModel(big)
         with pytest.raises(ValueError):
             PoissonFactorModel([[1]], a_theta=0.0)
         W, hp = FeatureArray(1, ((1,),)), Hyperparams(1.0, 1.0, 1.0)
@@ -195,6 +198,30 @@ class TestModel:
         got = m.row_loglik(0, np.array([2.0]))
         want = 3 * math.log(2.0) - 2.0 - math.log(6.0)
         assert got == pytest.approx(want, rel=1e-13)
+        # live cells mixed with zero-rate cells, against scipy's Poisson law
+        g = np.random.default_rng(12)
+        y = g.poisson(3.0, (8, 9))
+        rates = g.gamma(2.0, 2.0, (8, 9))
+        y[:, ::4], rates[:, ::4] = 0, 0.0
+        y[:, 1] += 1
+        m = PoissonFactorModel(y)
+        for i in range(8):
+            want = poisson.logpmf(y[i], rates[i]).sum()
+            assert m.row_loglik(i, rates[i]) == pytest.approx(want, rel=1e-13)
+            # one zero rate under a positive count rules the row out
+            dead = rates[i].copy()
+            dead[1] = 0.0
+            assert m.row_loglik(i, dead) == -math.inf
+
+    def test_loglik_sums_rows(self):
+        g = np.random.default_rng(13)
+        W = g.poisson(1.0, (6, 3)) + 1
+        W[2] = 0
+        theta = g.gamma(1.0, 1.0, (3, 4))
+        m = PoissonFactorModel(g.poisson(W @ theta))
+        want = sum(m.row_loglik(i, W[i] @ theta) for i in range(6))
+        assert math.isfinite(want)
+        assert m.loglik(W, theta) == pytest.approx(want, rel=1e-12)
 
 
 class TestLogJoint:

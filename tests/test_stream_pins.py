@@ -19,7 +19,9 @@ digits while every other field, and every draw, stayed the same.  The
 chain and infer digests were re-recorded again when harmonic_gap moved onto
 scipy's digamma: the T draws and the printed log_joint values moved in their
 last digits (at most 1e-14 relative), while every W, c, r and Theta stayed
-the same.
+the same.  The infer digest was re-recorded once more when the Poisson
+likelihood moved onto xlogy and one whole-matrix sum: the printed log_joint
+values moved in their last digits while every draw stayed the same.
 """
 
 import hashlib
@@ -41,7 +43,7 @@ from nbibp.structures import FeatureArray, Hyperparams
 
 RUN_CHAIN_SHA256 = "d21611504792bd08048563bb15ccfb90480f7dc8cda68d69b82f89731dbd922f"
 GEWEKE_LOOP_SHA256 = "26ed630769ee27134443245e29bb72d85367060579b89b1127121b63f32c3e5f"
-INFER_FULL_SHA256 = "00fd4e55f7e1b4172b357573e3e45feb07f7d586a211d63274b26cc9e420afd4"
+INFER_FULL_SHA256 = "e8d412537c650af4cd2811343d842c4d9310420ae70e59394959f0788131f9f1"
 SIMULATE_SHA256 = "049e43bc035188a3273ca3e90763fe5b2eca456f4814e2fa0a968cbb1e54f150"
 FINITARY_SHA256 = "f968b048f6346bef9cdc63b5e349fc0f3c7d14241a5a3e54718e5984f8977b0e"
 TRUNCATED_SHA256 = "3a733207f7df4873df3b5bf8ee1d079a936af9c72e7292ccc8a4eedc6be671fe"
