@@ -21,8 +21,9 @@ stderr, never a traceback.
 
 Every stochastic command requires an explicit --seed and is a pure function
 of its flags: rerunning with the same flags produces byte-identical output.
-Replicates fan out over per-replicate streams keyed (seed, replicate), so
-outputs are independent of any scheduling.
+Replicate k draws from the stream keyed (seed, k), so outputs are independent
+of any scheduling; each command builds one stream and re-keys it per
+replicate.
 """
 
 import argparse
@@ -102,8 +103,9 @@ def cmd_simulate(args):
         row_feats = []
         pos_entries = 0
         pos_total = 0
+        rng = RngStream(args.seed)
         for k in range(args.reps):
-            rng = RngStream(args.seed, k)
+            rng.rekey(args.seed, k)
             if args.construction == "sequential":
                 arr = nbibp_simulate(args.n, hp, rng)
             elif args.construction == "truncated":
@@ -167,8 +169,9 @@ def cmd_sample(args):
         draw = lambda rng: nb_sample(params, rng)
     with _open_out(args.out) as out:
         total = 0
+        rng = RngStream(args.seed)
         for k in range(args.reps):
-            z = draw(RngStream(args.seed, k))
+            z = draw(rng.rekey(args.seed, k))
             total += z
             print(z, file=out)
         summary = {

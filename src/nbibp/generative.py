@@ -60,11 +60,13 @@ def predictive_step(columns, sums, m, hp, rng):
     # the leftover mass c T / (c + m r) scaled back up: this product can differ
     # from c T in the last bit, and the Poisson draws depend on it
     fresh_rate = cnr * (hp.c * hp.T / cnr) * harmonic_gap(hp.r, cnr)
-    mass_law = DigammaParams(hp.r, cnr)
-    for _ in range(rng.poisson(fresh_rate)):
-        z = digamma_sample(mass_law, rng)
-        columns.append([0] * m + [z])
-        sums.append(z)
+    fresh = rng.poisson(fresh_rate)
+    if fresh:
+        mass_law = DigammaParams(hp.r, cnr)
+        for _ in range(fresh):
+            z = digamma_sample(mass_law, rng)
+            columns.append([0] * m + [z])
+            sums.append(z)
 
 
 def nbibp_simulate(n, hp, rng):

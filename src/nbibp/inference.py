@@ -455,7 +455,7 @@ def run_chain(model, init, sweeps, rng, config=ChainConfig()):
         raise ValueError(f"sweeps must be an integer >= 0, got {sweeps!r}")
     if init.W.n != model.n:
         raise ValueError(f"init has n={init.W.n} but the model has n={model.n}")
-    if init.Theta.shape[1] != model.V and init.W.kappa:
+    if init.Theta.shape[1] != model.V:
         raise ValueError(
             f"init factor width {init.Theta.shape[1]} does not match V={model.V}"
         )

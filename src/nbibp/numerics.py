@@ -4,7 +4,9 @@ Everything downstream (p.m.f. evaluation, the simulators, the MCMC kernels)
 is built on harmonic_gap, scipy.special's digamma and log-beta functions,
 and RngStream.  harmonic_gap is pure; RngStream, a numpy Generator whose
 only addition is its (seed, stream_id) key, is the only stateful object in
-the package.
+the package.  Replicate fan-out builds one RngStream per command and re-keys
+it to (seed, k) for replicate k, which replays exactly the draws of a fresh
+RngStream(seed, k) without the cost of building a new Philox.
 """
 
 import numpy as np
@@ -35,10 +37,31 @@ class RngStream(np.random.Generator):
     Distinct stream ids under one seed give statistically independent
     streams, and an identical key replays the identical draw sequence
     regardless of what any other stream has consumed.  Replicate fan-out
-    therefore keys one stream per replicate index and the merged output is
-    independent of scheduling.  Draws are numpy's own methods.
+    therefore gives replicate k the key (seed, k), and the merged output is
+    independent of scheduling.  A command builds one stream and re-keys it
+    per replicate.  Draws are numpy's own methods.
     """
 
     def __init__(self, seed, stream_id=0):
-        key = np.array([int(seed) & _MASK64, int(stream_id) & _MASK64], dtype=np.uint64)
-        super().__init__(np.random.Philox(key=key))
+        super().__init__(np.random.Philox(key=0))
+        self.rekey(seed, stream_id)
+
+    def rekey(self, seed, stream_id=0):
+        """Move to the first draw of RngStream(seed, stream_id) and return self.
+
+        The Philox state is set whole: the key, a zero counter, an empty
+        buffer and no pending 32-bit half, so nothing drawn before carries
+        over.
+        """
+        self.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": [0, 0, 0, 0],
+                "key": [int(seed) & _MASK64, int(stream_id) & _MASK64],
+            },
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self

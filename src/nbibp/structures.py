@@ -221,11 +221,13 @@ def log_pmf_array(arr, hp):
 
 
 def array_to_json(arr):
-    return json.dumps(
-        {"kind": "array", "n": arr.n, "columns": [list(col) for col in arr.columns]},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    """The compact, sorted-key JSON record of arr, written directly.
+
+    Entries and n are Python ints, whose str is their JSON text, so this is
+    byte-for-byte json.dumps(..., sort_keys=True, separators=(",", ":")).
+    """
+    cols = ",".join([f"[{','.join(map(str, col))}]" for col in arr.columns])
+    return f'{{"columns":[{cols}],"kind":"array","n":{arr.n}}}'
 
 
 def array_from_json(text):

@@ -6,6 +6,17 @@ import sys
 import pytest
 
 import nbibp.cli as cli
+from nbibp.distributions import (
+    BnbParams,
+    DigammaParams,
+    NbParams,
+    bnb_sample,
+    digamma_sample,
+    nb_sample,
+)
+from nbibp.generative import bnbp_sample_finitary, nbibp_simulate, truncated_oracle_simulate
+from nbibp.numerics import RngStream
+from nbibp.structures import Hyperparams, array_to_json
 from nbibp.validation import SuiteResult
 
 
@@ -147,6 +158,68 @@ class TestSample:
     def test_deterministic(self):
         args = ("sample", "--dist", "bnb", "--reps", "8", "--seed", "33")
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+class TestReplicateFanOut:
+    """Replicate k of simulate and sample is a standalone draw from
+    RngStream(seed, k), whatever the replicates before it drew."""
+
+    REPS = 6
+
+    @pytest.mark.parametrize("seed", [7, -5])
+    def test_simulate_records(self, capsys, seed):
+        hp = Hyperparams(1.5, 2.0, 2.0)
+        hyper = ("--r", "1.5", "--c", "2", "--mass-T", "2")
+        common = (*hyper, "--reps", str(self.REPS), "--seed", str(seed))
+
+        def masses(rng):
+            fixed, diffuse = bnbp_sample_finitary(hp, rng)
+            rec = {"kind": "masses", "fixed": fixed, "diffuse": diffuse}
+            return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+        runs = {
+            "sequential": (
+                ("--n", "3"),
+                lambda rng: array_to_json(nbibp_simulate(3, hp, rng)),
+            ),
+            "truncated": (
+                ("--n", "2", "--epsilon", "1e-3"),
+                lambda rng: array_to_json(truncated_oracle_simulate(2, hp, 1e-3, rng)),
+            ),
+            "finitary": ((), masses),
+        }
+        for construction, (flags, draw) in runs.items():
+            code, lines = run_main(
+                capsys, "simulate", "--construction", construction, *flags, *common
+            )
+            assert code == 0 and len(lines) == self.REPS + 1
+            want = [draw(RngStream(seed, k)) for k in range(self.REPS)]
+            assert lines[:-1] == want, construction
+
+    @pytest.mark.parametrize("seed", [7, -5])
+    def test_sample_lines(self, capsys, seed):
+        runs = {
+            "digamma": (
+                ("--r", "0.7", "--theta", "1.5"),
+                lambda rng: digamma_sample(DigammaParams(0.7, 1.5), rng),
+            ),
+            "bnb": (
+                ("--r", "1.5", "--alpha", "2", "--beta", "1.5"),
+                lambda rng: bnb_sample(BnbParams(1.5, 2.0, 1.5), rng),
+            ),
+            "nb": (
+                ("--r", "2.5", "--p", "0.3"),
+                lambda rng: nb_sample(NbParams(2.5, 0.3), rng),
+            ),
+        }
+        for dist, (flags, draw) in runs.items():
+            code, lines = run_main(
+                capsys, "sample", "--dist", dist, *flags,
+                "--reps", str(self.REPS), "--seed", str(seed),
+            )
+            assert code == 0 and len(lines) == self.REPS + 1
+            want = [str(draw(RngStream(seed, k))) for k in range(self.REPS)]
+            assert lines[:-1] == want, dist
 
 
 class TestInfer:

@@ -713,12 +713,28 @@ class TestChainDriver:
         assert len(out) == 11
 
     def test_shape_mismatch_rejected(self):
-        model = PoissonFactorModel(n=3, V=1)
         hp = Hyperparams(1.0, 1.0, 1.0)
         rng = RngStream(117, 0)
-        init = prior_state(PoissonFactorModel(n=2, V=1), hp, (1.0, 1.0), rng)
-        with pytest.raises(ValueError):
-            list(run_chain(model, init, 1, rng))
+        short = prior_state(PoissonFactorModel(n=2, V=1), hp, (1.0, 1.0), rng)
+        # a featureless init still needs a V-wide Theta
+        narrow = ChainState(FeatureArray(2, ()), np.zeros((0, 0)), hp)
+        cases = [
+            (PoissonFactorModel(n=3, V=1), short),
+            (PoissonFactorModel([[1, 0], [0, 0]]), narrow),
+        ]
+        for model, init in cases:
+            with pytest.raises(ValueError, match="^init "):
+                next(run_chain(model, init, 1, rng))
+
+    def test_featureless_init_runs(self):
+        model = PoissonFactorModel([[1, 0], [0, 0]])
+        hp = Hyperparams(1.0, 1.0, 1.0)
+        rng = RngStream(117, 1)
+        init = ChainState(FeatureArray(2, ()), np.zeros((0, 2)), hp, (1.0, 1.0), rng)
+        assert log_joint(init, model) == -math.inf
+        for state in run_chain(model, init, 5, rng):
+            state.check()
+            assert state.Theta.shape == (state.W.kappa, 2)
 
     def test_states_stay_consistent(self):
         model = PoissonFactorModel([[1, 2], [0, 1], [3, 0]])

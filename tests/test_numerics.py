@@ -90,8 +90,25 @@ class TestRngStream:
         assert [rng.random() for _ in range(3)] == [plain.random() for _ in range(3)]
         assert rng.poisson(4.0) == plain.poisson(4.0)
         assert np.array_equal(rng.gamma(0.7, 2.0, 5), plain.gamma(0.7, 2.0, 5))
+        # a used stream, re-keyed, replays the key from its first draw; the
+        # uint32 draws leave Philox's pending 32-bit half set
+        used = RngStream(seed + 1, stream_id)
+        used.random(3)
+        used.integers(0, 2**32 - 1, size=3, dtype=np.uint32)
+        used.poisson(2.0)
+        assert used.bit_generator.state["has_uint32"] == 1
+        assert used.rekey(seed, stream_id) is used
+        plain = np.random.Generator(np.random.Philox(key=key))
+        assert used.bit_generator.state["has_uint32"] == 0
+        assert np.array_equal(
+            used.integers(0, 2**32 - 1, size=5, dtype=np.uint32),
+            plain.integers(0, 2**32 - 1, size=5, dtype=np.uint32),
+        )
+        assert [used.random() for _ in range(3)] == [plain.random() for _ in range(3)]
+        assert used.poisson(4.0) == plain.poisson(4.0)
+        assert np.array_equal(used.gamma(0.7, 2.0, 5), plain.gamma(0.7, 2.0, 5))
 
     def test_defines_no_draw_method(self):
         # every draw is numpy's own method: RngStream adds only its keying
         own = {k for k, v in vars(RngStream).items() if callable(v)}
-        assert own == {"__init__"}
+        assert own == {"__init__", "rekey"}

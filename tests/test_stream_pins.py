@@ -1,4 +1,4 @@
-"""Random-stream pins: sha256 digests of six fixed-seed runs.
+"""Random-stream pins: sha256 digests of seven fixed-seed runs.
 
 The chain and infer digests were recorded before the sweep kernels moved onto an int64 count
 matrix and Theta's allocation became one multinomial call.  That rewrite
@@ -22,6 +22,9 @@ last digits (at most 1e-14 relative), while every W, c, r and Theta stayed
 the same.  The infer digest was re-recorded once more when the Poisson
 likelihood moved onto xlogy and one whole-matrix sum: the printed log_joint
 values moved in their last digits while every draw stayed the same.
+The sample digest was recorded before simulate and sample re-keyed one
+stream per command instead of building a fresh stream per replicate; the
+re-keyed stream replays each replicate's draws, so it must not move.
 """
 
 import hashlib
@@ -47,6 +50,7 @@ INFER_FULL_SHA256 = "e8d412537c650af4cd2811343d842c4d9310420ae70e59394959f078813
 SIMULATE_SHA256 = "049e43bc035188a3273ca3e90763fe5b2eca456f4814e2fa0a968cbb1e54f150"
 FINITARY_SHA256 = "f968b048f6346bef9cdc63b5e349fc0f3c7d14241a5a3e54718e5984f8977b0e"
 TRUNCATED_SHA256 = "3a733207f7df4873df3b5bf8ee1d079a936af9c72e7292ccc8a4eedc6be671fe"
+SAMPLE_SHA256 = "274641023be1427ad48d948fe67aea2fedb3e22b5d26998d082fb8f8f532d537"
 
 
 def _state_key(state):
@@ -143,3 +147,15 @@ def test_truncated_output_pinned(capsys):
         "--reps", "100", "--seed", "7",
     )
     assert digest == TRUNCATED_SHA256
+
+
+def test_sample_output_pinned(capsys):
+    runs = (
+        ("--dist", "digamma", "--r", "0.7", "--theta", "1.5", "--seed", "5"),
+        ("--dist", "bnb", "--r", "1.5", "--alpha", "2", "--beta", "1.5", "--seed", "-3"),
+        ("--dist", "nb", "--r", "2.5", "--p", "0.3", "--seed", "11"),
+    )
+    for flags in runs:
+        assert cli.main(["sample", *flags, "--reps", "300"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SAMPLE_SHA256

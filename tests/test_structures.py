@@ -1,10 +1,11 @@
 import itertools
+import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import psi
 
@@ -38,6 +39,14 @@ def columns_strategy(n):
 
 arrays = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: columns_strategy(n).map(lambda cols: FeatureArray(n, cols))
+)
+
+# n = 0 and entries past int64 included, for the serializer
+big_entry = st.one_of(st.integers(0, 3), st.integers(2**63, 2**70))
+serialized_arrays = st.integers(min_value=0, max_value=3).flatmap(
+    lambda n: st.lists(st.tuples(*([big_entry] * n)).filter(any), max_size=4 if n else 0).map(
+        lambda cols: FeatureArray(n, tuple(cols))
+    )
 )
 
 
@@ -316,6 +325,20 @@ class TestSerialization:
         again = array_from_json(text)
         assert again == arr
         assert array_to_json(again) == text
+
+    @given(serialized_arrays)
+    @example(FeatureArray(0, ()))
+    @example(FeatureArray(1, ()))
+    @example(FeatureArray(1, ((2**63,), (1,), (2**64 + 7,))))
+    @settings(max_examples=100, deadline=None)
+    def test_array_record_is_json_dumps(self, arr):
+        text = array_to_json(arr)
+        assert text == json.dumps(
+            {"kind": "array", "n": arr.n, "columns": [list(col) for col in arr.columns]},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert array_from_json(text) == arr
 
     @given(arrays)
     @settings(max_examples=60, deadline=None)
