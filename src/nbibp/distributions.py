@@ -13,9 +13,9 @@ p.m.f.  scipy's betaln keeps these accurate at huge counts (10**12 and up),
 where differences of log-gammas lose digits.  Samplers draw through exact
 beta / gamma / Poisson primitives only; the digamma sampler is a rejection
 scheme whose proposal is BNB(r, 1, theta).  The digamma and BNB total masses
-sum a truncated series and close it with an exact beta-integral tail, taken
-in s = -log(1-x) near x = 1, so normalization checks hold to 1e-10 even for
-slowly decaying tails.  The NB mass is 1 by the negative binomial theorem.
+sum their log p.m.f.s over a head and close it with an exact beta-integral
+tail in s = -log(1-x) near x = 1, so normalization checks hold to 1e-10
+even for slow tails.  The NB mass is 1 by the negative binomial theorem.
 """
 
 import math
@@ -309,13 +309,12 @@ def _bnb_damped_remainder(x, s, r, coefs_rev):
 
 
 def digamma_total_mass(params):
-    """Total p.m.f. mass (should be 1); the package's normalization oracle."""
+    """Total mass (should be 1): digamma_log_pmf over a head, plus the tail."""
     r, theta = params.r, params.theta
+    head = math.fsum(math.exp(digamma_log_pmf(params, z)) for z in range(1, _HEAD_TERMS + 1))
     log_xi = math.log(harmonic_gap(r, theta))
     log_b = betaln(r, theta)
     zs = np.arange(1, _HEAD_TERMS + 1)
-    log_u = betaln(r + zs, theta) - log_b - np.log(zs)
-    head = float(np.exp(log_u - log_xi).sum())
     inv_zs = 1.0 / zs
     tail = _beta_weighted_integral(
         r,
@@ -327,12 +326,11 @@ def digamma_total_mass(params):
 
 
 def bnb_total_mass(params):
-    """Total BNB mass: a _HEAD_TERMS head closed by the beta-integral tail."""
+    """Total BNB mass: bnb_log_pmf summed over counts 0.._HEAD_TERMS, closed
+    by the beta-integral tail."""
     r, a, b = params.r, params.alpha, params.beta
-    zs = np.arange(0, _HEAD_TERMS + 1)
-    log_u = _log_rising_over_factorial(r, zs)
-    log_b_ab = betaln(a, b)
-    head_terms = np.exp(log_u + betaln(zs + a, r + b) - log_b_ab)
+    head = math.fsum(math.exp(bnb_log_pmf(params, z)) for z in range(_HEAD_TERMS + 1))
+    log_u = _log_rising_over_factorial(r, np.arange(0, _HEAD_TERMS + 1))
     coefs_rev = np.exp(log_u)[::-1].tolist()
     tail = _beta_weighted_integral(
         a,
@@ -340,4 +338,4 @@ def bnb_total_mass(params):
         lambda x, s: _bnb_damped_remainder(x, s, r, coefs_rev),
         f"BNB tail at {params!r}",
     )
-    return float(head_terms.sum()) + math.exp(-log_b_ab) * tail
+    return head + math.exp(-betaln(a, b)) * tail

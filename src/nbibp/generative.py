@@ -12,6 +12,8 @@ Three routes produce draws from the same law:
 * bnbp_sample_finitary: the one-shot finite construction of the process
   masses themselves, Poisson-many atoms with digamma counts plus BNB counts
   at fixed atoms of the base, which no other route or module takes.
+  _new_dishes, the one new-dish draw, gives its atoms (at m = 0), each
+  buffet row's new dishes and the MCMC singleton births.
 * truncated_oracle_simulate: a deliberately independent hierarchical oracle
   that first realizes the underlying weight measure down to weights > epsilon
   and then draws NB counts per atom.  It shares no distributional code path
@@ -43,30 +45,33 @@ __all__ = [
 ]
 
 
+def _new_dishes(hp, m, rng):
+    """Counts of the new dishes of the customer after m others, in draw order:
+    Poisson(c T [psi(c + (m+1) r) - psi(c + m r)])-many digamma(r, c + m r)."""
+    tail = hp.c + m * hp.r
+    fresh = rng.poisson(hp.c * hp.T * harmonic_gap(hp.r, tail))
+    if not fresh:
+        return []
+    mass_law = DigammaParams(hp.r, tail)
+    return [digamma_sample(mass_law, rng) for _ in range(fresh)]
+
+
 def predictive_step(columns, sums, m, hp, rng):
     """Append row m + 1, drawn from the law of the next row given the first
     m, in place to the m-row list columns and their running sums.
 
     Existing column k receives a BNB(r, S_k, c + m r) count, drawn as its
-    beta-mixed negative binomial; fresh columns arrive
-    Poisson(c T [psi(c + (m+1) r) - psi(c + m r)])-many with
-    digamma(r, c + m r) counts, in draw order after the existing columns.
+    beta-mixed negative binomial; the fresh columns, _new_dishes(hp, m, rng),
+    follow in draw order after the existing columns.
     """
     cnr = hp.c + m * hp.r
     for k, col in enumerate(columns):
         z = _nb_draw(hp.r, rng.beta(sums[k], cnr), rng)
         col.append(z)
         sums[k] += z
-    # the leftover mass c T / (c + m r) scaled back up: this product can differ
-    # from c T in the last bit, and the Poisson draws depend on it
-    fresh_rate = cnr * (hp.c * hp.T / cnr) * harmonic_gap(hp.r, cnr)
-    fresh = rng.poisson(fresh_rate)
-    if fresh:
-        mass_law = DigammaParams(hp.r, cnr)
-        for _ in range(fresh):
-            z = digamma_sample(mass_law, rng)
-            columns.append([0] * m + [z])
-            sums.append(z)
+    for z in _new_dishes(hp, m, rng):
+        columns.append([0] * m + [z])
+        sums.append(z)
 
 
 def nbibp_simulate(n, hp, rng):
@@ -94,10 +99,7 @@ def bnbp_sample_finitary(hp, rng, fixed_atoms=()):
         bnb_sample(BnbParams(hp.r, hp.c * b, hp.c * (1.0 - b)), rng)
         for b in fixed_atoms
     ]
-    kappa = rng.poisson(hp.c * hp.T * harmonic_gap(hp.r, hp.c))
-    mass_law = DigammaParams(hp.r, hp.c)
-    diffuse = [digamma_sample(mass_law, rng) for _ in range(kappa)]
-    return fixed, diffuse
+    return fixed, _new_dishes(hp, 0, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,12 @@ At rest the chain holds W as a validated FeatureArray.  Within a sweep the
 entry and singleton passes run on an int64 n-by-kappa copy of W with its
 column sums, and W is rebuilt from it once, after both passes, if a move was
 accepted.  The two kernels work on that copy: update_entry refreshes one
-row's entries, computing the row's rates W_i Theta once, moving them in O(V)
-for a proposal that keeps its entry positive and keeping the rates of an
-accepted one; update_singletons runs one row's birth/death move.  sweep_once
-calls each once per row.  update_theta splits every positive count that has
-a positive rate in one multinomial call.
+row's shared entries, computing the row's rates W_i Theta once, moving them
+in O(V) for a proposal that keeps its entry positive and keeping the rates of
+an accepted one; update_singletons runs one row's birth/death move on the
+rest, with the buffet's new dishes (generative._new_dishes) as its births.
+sweep_once calls each once per row.  update_theta splits every positive
+count that has a positive rate in one multinomial call.
 
 A model built with y=None has a constant likelihood: every acceptance ratio
 is one and Theta reverts to its prior.  The chain then targets the prior
@@ -39,8 +40,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .distributions import DigammaParams, _nb_draw, digamma_sample
-from .generative import nbibp_simulate
+from .distributions import _nb_draw
+from .generative import _new_dishes, nbibp_simulate
 from .numerics import harmonic_gap
 from .structures import FeatureArray, Hyperparams, _log_pmf_of, log_pmf_array
 
@@ -195,8 +196,17 @@ class ChainConfig:
             raise ValueError(f"thin must be a positive integer, got {self.thin!r}")
 
 
+def _check_fit(state, model):
+    """ValueError unless W has the model's n rows and Theta its V columns."""
+    n, width = state.W.n, state.Theta.shape[1]
+    if (n, width) != (model.n, model.V):
+        raise ValueError(f"state has n={n}, width {width}; the model has n={model.n}, V={model.V}")
+
+
 def log_joint(state, model):
-    """log p(y, W, Theta | T, c, r); -inf when the data is impossible."""
+    """log p(y, W, Theta | T, c, r); -inf when the data is impossible, and
+    ValueError for a state that does not fit the model."""
+    _check_fit(state, model)
     lp = log_pmf_array(state.W, state.hp)
     th, a, b = state.Theta, model.a_theta, model.b_theta
     lp += float(
@@ -209,15 +219,9 @@ def log_joint(state, model):
 def _gamma_factors(rng, shape, rate, size=None):
     """Gamma(shape, rate) factor entries, with a draw that underflows to 0.0
     (possible for shape << 1) lifted to the least positive double, so Theta
-    stays positive; every positive draw is returned unchanged."""
+    stays positive; every positive draw is returned unchanged.  With size
+    None it is one draw, which float() makes the base mass T."""
     return np.maximum(rng.gamma(shape, 1.0 / rate, size), math.ulp(0.0))
-
-
-def _gamma_mass(rng, shape, rate):
-    """One Gamma(shape, rate) base mass T, a Python float, lifted to the
-    least positive double when it underflows to 0.0 as _gamma_factors does,
-    so Hyperparams accepts it."""
-    return max(rng.gamma(shape, 1.0 / rate), math.ulp(0.0))
 
 
 def _accept(delta_new, delta_old, rng):
@@ -230,22 +234,22 @@ def _accept(delta_new, delta_old, rng):
     return d >= 0.0 or rng.random() < math.exp(d)
 
 
-def update_entry(state, model, M, sums, i, cols):
-    """MH refresh of M[i, j] in place for each j in cols, in order, on the
-    count matrix M of W with its column sums kept current; True if any
-    proposal was accepted, and the caller then rebuilds W from M.
+def update_entry(state, model, M, sums, i):
+    """MH refresh of M[i, j] in place for each j another row expresses, in
+    order, on the count matrix M of W with its column sums kept current; True
+    if any proposal was accepted, and the caller then rebuilds W from M.
 
     Each proposal is the exact conditional of its entry under the array prior
     given everything else, so the acceptance ratio is the likelihood ratio
-    alone; every column in cols must be expressed by some row other than i.
-    A proposal is scored on the row rates plus (prop - old) Theta_j, or on a
-    fresh mat-vec if it zeroes its entry, so an unsupported rate reads 0.
+    alone.  A proposal is scored on the row rates plus (prop - old) Theta_j,
+    or on a fresh mat-vec if it zeroes its entry, so an unsupported rate
+    reads 0.
     """
     hp, rng, theta = state.hp, state.rng, state.Theta
     tail = hp.c + (M.shape[0] - 1) * hp.r
     row = M[i]
     rates, moved = None, False
-    for j in cols:
+    for j in np.flatnonzero(sums > row):
         old = row[j]
         prop = _nb_draw(hp.r, rng.beta(float(sums[j] - old), tail), rng)
         if prop == old:
@@ -272,23 +276,21 @@ def update_singletons(state, model, M, sums, i):
     whose column sums are sums.  On accept it sets state.Theta and returns
     the new (M, sums), from which the caller rebuilds W; else None.
 
-    Proposes dropping every column only row i expresses and birthing a
-    Poisson(c T [psi(c+nr) - psi(c+(n-1)r)]) batch of fresh ones at uniform
-    slots, masses from the digamma law and factor rows from the prior; prior
-    and proposal terms cancel, leaving the likelihood ratio of row i.  With no
-    birth and nothing private the proposal is the current state, which is
-    accepted without a draw, so the move returns at once.
+    Proposes dropping every column only row i expresses and birthing the
+    dishes the last of n buffet customers opens, _new_dishes(hp, n - 1), at
+    uniform slots with factor rows from the prior; prior and proposal terms
+    cancel, leaving the likelihood ratio of row i.  With no birth and nothing
+    private the proposal is the current state, which is accepted without a
+    draw, so the move returns at once.
     """
     hp, rng = state.hp, state.rng
     n = M.shape[0]
     row = M[i]
     private = (row > 0) & (sums == row)
-    theta_tail = hp.c + (n - 1) * hp.r
-    born = rng.poisson(hp.c * hp.T * harmonic_gap(hp.r, theta_tail))
+    masses = _new_dishes(hp, n - 1, rng)
+    born = len(masses)
     if born == 0 and not private.any():
         return None
-    mass_law = DigammaParams(hp.r, theta_tail)
-    masses = [digamma_sample(mass_law, rng) for _ in range(born)]
     keep = np.flatnonzero(~private)
     kappa_star = keep.size + born
     fresh = np.zeros(kappa_star, dtype=bool)
@@ -347,7 +349,7 @@ def update_mass_T(state):
     alpha, beta = state.t_prior
     hp = state.hp
     rate = beta + hp.c * harmonic_gap(state.W.n * hp.r, hp.c)
-    new_t = _gamma_mass(state.rng, alpha + state.W.kappa, rate)
+    new_t = float(_gamma_factors(state.rng, alpha + state.W.kappa, rate))
     state.hp = Hyperparams(hp.r, hp.c, new_t)
     return state
 
@@ -423,8 +425,7 @@ def sweep_once(state, model, config=ChainConfig()):
     sums = M.sum(axis=0)
     moved = False
     for i in range(model.n):
-        cols = np.flatnonzero(sums > M[i])
-        moved = update_entry(state, model, M, sums, i, cols) or moved
+        moved = update_entry(state, model, M, sums, i) or moved
     for i in range(model.n):
         out = update_singletons(state, model, M, sums, i)
         if out is not None:
@@ -453,12 +454,7 @@ def run_chain(model, init, sweeps, rng, config=ChainConfig()):
     """
     if sweeps != int(sweeps) or sweeps < 0:
         raise ValueError(f"sweeps must be an integer >= 0, got {sweeps!r}")
-    if init.W.n != model.n:
-        raise ValueError(f"init has n={init.W.n} but the model has n={model.n}")
-    if init.Theta.shape[1] != model.V:
-        raise ValueError(
-            f"init factor width {init.Theta.shape[1]} does not match V={model.V}"
-        )
+    _check_fit(init, model)
     state = ChainState(init.W, init.Theta.copy(), init.hp, init.t_prior, rng)
     yield state.snapshot()
     for sweep in range(1, int(sweeps) + 1):
@@ -471,7 +467,7 @@ def prior_state(model, hp, t_prior, rng, draw_T=False):
     """A fresh state from the prior: optionally T ~ Gamma(t_prior), then the
     array, then factor rows."""
     if draw_T:
-        hp = Hyperparams(hp.r, hp.c, _gamma_mass(rng, *t_prior))
+        hp = Hyperparams(hp.r, hp.c, float(_gamma_factors(rng, *t_prior)))
     W = nbibp_simulate(model.n, hp, rng)
     theta = _gamma_factors(rng, model.a_theta, model.b_theta, (W.kappa, model.V))
     return ChainState(W, theta, hp, t_prior, rng)

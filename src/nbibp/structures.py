@@ -84,8 +84,8 @@ class FeatureArray:
     """An ordered tuple of feature columns over n rows.
 
     Column order is meaningful here (simulators emit creation order); the
-    order-free object is CombStruct.  n = 0 with no columns is the legal
-    empty seed the sequential simulator grows from.
+    order-free object is CombStruct.  n = 0 with no columns is legal: it is
+    what nbibp_simulate returns for zero rows.
     """
 
     n: int

@@ -7,7 +7,8 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import lognorm, poisson
 
 import nbibp.inference as inference
-from nbibp.distributions import BnbParams, bnb_log_pmf, bnb_sample
+from nbibp.distributions import BnbParams, _nb_draw, bnb_log_pmf, bnb_sample
+from nbibp.generative import _new_dishes
 from nbibp.inference import (
     ChainConfig,
     ChainState,
@@ -104,7 +105,7 @@ def entry_pass(state, model, reference=False):
     sums = M.sum(axis=0)
     for i in range(model.n):
         if not reference:
-            update_entry(state, model, M, sums, i, np.flatnonzero(sums > M[i]))
+            update_entry(state, model, M, sums, i)
             continue
         for j in range(M.shape[1]):
             if sums[j] > M[i, j]:
@@ -235,6 +236,24 @@ class TestLogJoint:
         want = (-1.0 - math.log(2.0)) + (-2.0) + (3 * math.log(2.0) - 2.0 - math.log(6.0))
         assert log_joint(state, model) == pytest.approx(want, rel=1e-12)
 
+    def test_state_that_does_not_fit_the_model_refused(self):
+        # each of these once read a finite score: a Theta narrower or wider
+        # than V, or a W with fewer rows than y, broadcast against the data
+        hp = Hyperparams(1.0, 1.0, 1.0)
+        cases = [
+            (ChainState(FeatureArray(2, ()), np.zeros((0, 0)), hp),
+             PoissonFactorModel([[1], [0]])),
+            (ChainState(FeatureArray(1, ((2,),)), np.ones((1, 3)), hp),
+             PoissonFactorModel([[2]])),
+            (ChainState(FeatureArray(1, ((2,),)), np.ones((1, 2)), hp),
+             PoissonFactorModel([[1, 0], [0, 2], [3, 1]])),
+        ]
+        for state, model in cases:
+            with pytest.raises(ValueError, match="^state "):
+                log_joint(state, model)
+            with pytest.raises(ValueError, match="^state "):
+                chain_record(state, 0, model)
+
     def test_empty_array_edges(self):
         hp = Hyperparams(1.0, 1.0, 1.0)
         empty = FeatureArray(1, ())
@@ -246,12 +265,24 @@ class TestLogJoint:
 
 
 class TestEntryKernel:
-    def test_singleton_entry_refused(self):
+    def test_private_entries_left_to_singletons(self):
+        # row 1 expresses one private and one shared column: the kernel draws
+        # one proposal, for the shared entry, from BNB(r, 1, c + r) as beta
+        # then NB, and a flat model accepts it with no further draw; the
+        # private entry is update_singletons' to move
         hp = Hyperparams(1.0, 1.0, 1.0)
-        state = flat_state(FeatureArray(2, ((0, 2),)), hp, 1)
         model = PoissonFactorModel(n=2, V=1)
-        with pytest.raises(ValueError):
-            move(update_entry, state, model, 1, [0])
+        moved = 0
+        for seed in range(10):
+            state = flat_state(FeatureArray(2, ((0, 2), (1, 3))), hp, seed)
+            twin = RngStream(seed, 0)
+            want = _nb_draw(1.0, twin.beta(1.0, 2.0), twin)
+            M = state.W.to_matrix()
+            update_entry(state, model, M, M.sum(axis=0), 1)
+            assert M.tolist() == [[0, 1], [2, want]]
+            assert state.rng.random() == twin.random()  # same stream position
+            moved += want != 3
+        assert moved > 0
 
     def test_flat_marginal_is_conditional_prior(self):
         # with a flat likelihood every proposal is accepted, so the entry's
@@ -266,7 +297,7 @@ class TestEntryKernel:
             state = ChainState(
                 FeatureArray(2, ((1, 3),)), np.full((1, 1), 1.0), hp, (1.0, 1.0), rng
             )
-            move(update_entry, state, model, 1, [0])
+            move(update_entry, state, model, 1)
             seen[state.W.columns[0][1]] += 1
         p, cells, _ = gof_chi_square(seen, lambda z: math.exp(bnb_log_pmf(law, z)), reps)
         assert cells >= 4
@@ -295,7 +326,7 @@ class TestEntryKernel:
                 state = ChainState(
                     FeatureArray(2, ((1, z),)), theta.copy(), hp, (1.0, 1.0), rng
                 )
-                move(update_entry, state, model, 1, [0])
+                move(update_entry, state, model, 1)
                 trans[z][state.W.columns[0][1]] += 1
         for z in zs:
             assert trans[z][0] == 0  # impossible states never accepted
@@ -382,6 +413,23 @@ class TestSingletonKernel:
             kept = [col for col in state.W.columns if sum(col) != col[1] or col[1] == 0]
             for col in base[:2]:
                 assert col in kept
+
+    def test_births_are_the_buffet_new_dishes(self):
+        # a flat likelihood accepts every proposal, so row 1 keeps exactly the
+        # births as its private columns: the new dishes of the last of n = 3
+        # buffet customers, masses in draw order at increasing slots
+        hp = Hyperparams(1.0, 1.0, 6.0)
+        model = PoissonFactorModel(n=3, V=1)
+        base = ((1, 1, 0), (0, 2, 1), (0, 3, 0))  # third column private to row 1
+        several = 0
+        for seed in range(30):
+            state = flat_state(FeatureArray(3, base), hp, seed)
+            want = _new_dishes(hp, 2, RngStream(seed, 0))
+            move(update_singletons, state, model, 1)
+            got = [col[1] for col in state.W.columns if col[1] and sum(col) == col[1]]
+            assert got == want
+            several += len(set(want)) > 1
+        assert several > 0
 
     def test_rejections_leave_state_alone(self):
         # row 1's count is large and only its private feature carries rate,
@@ -723,7 +771,7 @@ class TestChainDriver:
             (PoissonFactorModel([[1, 0], [0, 0]]), narrow),
         ]
         for model, init in cases:
-            with pytest.raises(ValueError, match="^init "):
+            with pytest.raises(ValueError, match="^state "):
                 next(run_chain(model, init, 1, rng))
 
     def test_featureless_init_runs(self):

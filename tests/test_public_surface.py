@@ -176,3 +176,26 @@ def test_tracer_sees_the_kernels():
     plain = run()
     assert traced[0] == plain[0] and traced[2:] == plain[2:]
     assert np.array_equal(traced[1], plain[1])
+
+
+def test_no_unused_imports():
+    # no linter ships with the package, so this gate stands in for one: every
+    # name an import binds in a module must be read somewhere in that module
+    paths = sorted((ROOT / "src" / "nbibp").glob("*.py"))
+    assert paths
+    for path in paths:
+        if path.name == "__init__.py":  # its imports are the re-exports
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        assert bound - loaded == set(), path.name

@@ -1,30 +1,15 @@
 """Random-stream pins: sha256 digests of seven fixed-seed runs.
 
-The chain and infer digests were recorded before the sweep kernels moved onto an int64 count
-matrix and Theta's allocation became one multinomial call.  That rewrite
-keeps every draw and every accept decision, so the digests must not move.
-The simulate digest was recorded before predictive_step stopped building
-per-atom posterior records; that rewrite keeps the same draws as well.
-A change that alters the stream on purpose declares it in CHANGES.md and
-re-records them here.  The chain digest was re-recorded for the default
-configuration when the column-shuffle kernel was removed; it was taken from
-the code before that removal.  The chain and Geweke digests hash the
-hyperparameters as (r, c, T) rather than through repr(Hyperparams), so the
-text of that repr is not part of the pin; both values, and the finitary and
-truncated simulate digests, were recorded before fixed atoms left
-Hyperparams.  The infer digest was re-recorded when the array p.m.f. moved
-onto sufficient statistics, evaluated with log-beta functions: that sum
-runs in another order, so the printed log_joint values moved in their last
-digits while every other field, and every draw, stayed the same.  The
-chain and infer digests were re-recorded again when harmonic_gap moved onto
-scipy's digamma: the T draws and the printed log_joint values moved in their
-last digits (at most 1e-14 relative), while every W, c, r and Theta stayed
-the same.  The infer digest was re-recorded once more when the Poisson
-likelihood moved onto xlogy and one whole-matrix sum: the printed log_joint
-values moved in their last digits while every draw stayed the same.
-The sample digest was recorded before simulate and sample re-keyed one
-stream per command instead of building a fresh stream per replicate; the
-re-keyed stream replays each replicate's draws, so it must not move.
+The pins cover run_chain with every kernel on (c/r slice moves included)
+from a planted n=40, V=15 truth; the Geweke suite's successive-conditional
+loop; `infer --synthetic --full`; `simulate` under the sequential, finitary
+and truncated constructions; and `sample` under the digamma, BNB and NB
+laws.  The chain and Geweke digests hash the hyperparameters as (r, c, T),
+so the text of repr(Hyperparams) is not part of the pin.
+
+A change that keeps every draw and every printed value leaves every digest
+as it is.  A change that moves the stream or a printed value on purpose
+declares it in CHANGES.md and re-records the digests it moves here.
 """
 
 import hashlib
