@@ -76,8 +76,8 @@ def predictive_step(columns, sums, m, hp, rng):
 
 def nbibp_simulate(n, hp, rng):
     """n rows of the buffet construction, columns in creation order."""
-    if n != int(n) or n < 0:
-        raise ValueError(f"nbibp_simulate needs integer n >= 0, got {n!r}")
+    if n != int(n) or n < 1:
+        raise ValueError(f"nbibp_simulate needs integer n >= 1, got {n!r}")
     columns, sums = [], []
     for m in range(int(n)):
         predictive_step(columns, sums, m, hp, rng)

@@ -20,14 +20,14 @@ so a chain started there moves on instead of failing.
 
 At rest the chain holds W as a validated FeatureArray.  Within a sweep the
 entry and singleton passes run on an int64 n-by-kappa copy of W with its
-column sums, and W is rebuilt from it once, after both passes, if a move was
-accepted.  The two kernels work on that copy: update_entry refreshes one
-row's shared entries, computing the row's rates W_i Theta once, moving them
-in O(V) for a proposal that keeps its entry positive and keeping the rates of
-an accepted one; update_singletons runs one row's birth/death move on the
-rest, with the buffet's new dishes (generative._new_dishes) as its births.
-sweep_once calls each once per row.  update_theta splits every positive
-count that has a positive rate in one multinomial call.
+column sums, and W is rebuilt from it once per sweep, after both passes.  The
+two kernels work on that copy: update_entry refreshes one row's shared
+entries, computing the row's rates W_i Theta once, moving them in O(V) for a
+proposal that keeps its entry positive and keeping the rates of an accepted
+one; update_singletons runs one row's birth/death move on the rest, with the
+buffet's new dishes (generative._new_dishes) as its births.  sweep_once calls
+each once per row.  update_theta splits every positive count that has a
+positive rate in one multinomial call.
 
 A model built with y=None has a constant likelihood: every acceptance ratio
 is one and Theta reverts to its prior.  The chain then targets the prior
@@ -133,14 +133,11 @@ class ChainState:
         if not (0.0 < a < math.inf and 0.0 < b < math.inf):
             raise ValueError(f"T prior needs finite alpha, beta > 0, got {self.t_prior!r}")
         self.t_prior = (float(a), float(b))
-        self.check()
-
-    def check(self):
         if self.Theta.shape[0] != self.W.kappa:
             raise ValueError(
                 f"Theta has {self.Theta.shape[0]} rows but W has {self.W.kappa} columns"
             )
-        if self.Theta.size and not (self.Theta > 0.0).all():
+        if not (self.Theta > 0.0).all():
             raise ValueError("Theta entries must be positive")
 
     def snapshot(self):
@@ -237,7 +234,7 @@ def _accept(delta_new, delta_old, rng):
 def update_entry(state, model, M, sums, i):
     """MH refresh of M[i, j] in place for each j another row expresses, in
     order, on the count matrix M of W with its column sums kept current; True
-    if any proposal was accepted, and the caller then rebuilds W from M.
+    if any proposal was accepted.
 
     Each proposal is the exact conditional of its entry under the array prior
     given everything else, so the acceptance ratio is the likelihood ratio
@@ -296,10 +293,9 @@ def update_singletons(state, model, M, sums, i):
     fresh = np.zeros(kappa_star, dtype=bool)
     new_M = np.zeros((n, kappa_star), dtype=np.int64)
     new_theta = np.empty((kappa_star, model.V))
-    if born:
-        fresh[rng.choice(kappa_star, size=born, replace=False)] = True
-        new_M[i, fresh] = masses
-        new_theta[fresh] = _gamma_factors(rng, model.a_theta, model.b_theta, (born, model.V))
+    fresh[rng.choice(kappa_star, size=born, replace=False)] = True
+    new_M[i, fresh] = masses
+    new_theta[fresh] = _gamma_factors(rng, model.a_theta, model.b_theta, (born, model.V))
     new_M[:, ~fresh] = M[:, keep]
     new_theta[~fresh] = state.Theta[keep]
     if not _accept(
@@ -393,24 +389,13 @@ def update_c_r(state, c_prior=HyperPrior(), r_prior=HyperPrior()):
 
     A prior of None pins its parameter and skips the move.
     """
-    hp = state.hp
+    r, c, T = state.hp.r, state.hp.c, state.hp.T
     log_pmf = _log_pmf_of(state.W.n, state.W.columns)
-
-    def slice_move(x0, prior, hp_at):
-        if prior is None:
-            return x0
-
-        def target(x):
-            lp = prior.log_density(x)
-            if lp == -math.inf:
-                return -math.inf
-            return lp + log_pmf(hp_at(x))
-
-        return _slice_update(x0, target, state.rng)
-
-    c = slice_move(hp.c, c_prior, lambda c: Hyperparams(hp.r, c, hp.T))
-    r = slice_move(hp.r, r_prior, lambda r: Hyperparams(r, c, hp.T))
-    state.hp = Hyperparams(r, c, hp.T)
+    if c_prior is not None:
+        c = _slice_update(c, lambda x: c_prior.log_density(x) + log_pmf(r, x, T), state.rng)
+    if r_prior is not None:
+        r = _slice_update(r, lambda x: r_prior.log_density(x) + log_pmf(x, c, T), state.rng)
+    state.hp = Hyperparams(r, c, T)
     return state
 
 
@@ -418,21 +403,21 @@ def sweep_once(state, model, config=ChainConfig()):
     """One full kernel pass in the fixed order: all non-singleton entries
     row-major, the per-row singleton move, Theta, T, c, r.
 
-    The entry and singleton passes run on an int64 copy of W and its column
-    sums; W is rebuilt (and validated) once after them, if anything moved.
+    A state that does not fit the model is refused on entry (_check_fit),
+    before any draw; the kernels keep it fitting.  The entry and singleton
+    passes run on an int64 copy of W and its column sums; W is rebuilt (and
+    validated) from it once per sweep, after them.
     """
+    _check_fit(state, model)
     M = state.W.to_matrix()
     sums = M.sum(axis=0)
-    moved = False
     for i in range(model.n):
-        moved = update_entry(state, model, M, sums, i) or moved
+        update_entry(state, model, M, sums, i)
     for i in range(model.n):
         out = update_singletons(state, model, M, sums, i)
         if out is not None:
             M, sums = out
-            moved = True
-    if moved:
-        state.W = FeatureArray.from_matrix(M)
+    state.W = FeatureArray.from_matrix(M)
     if state.W.kappa:
         update_theta(state, model)
     if config.mass:
@@ -443,7 +428,6 @@ def sweep_once(state, model, config=ChainConfig()):
             config.c_prior if config.conc else None,
             config.r_prior if config.shape else None,
         )
-    state.check()
     return state
 
 
@@ -474,12 +458,11 @@ def prior_state(model, hp, t_prior, rng, draw_T=False):
 
 
 def resample_counts(state, model, rng=None):
-    """New model with y ~ Poisson(W Theta) drawn under the current state."""
+    """New model with y ~ Poisson(W Theta) drawn under the current state;
+    ValueError, before any draw, for a state that does not fit the model."""
+    _check_fit(state, model)
     rng = state.rng if rng is None else rng
-    if state.W.kappa:
-        rates = state.W.to_matrix().astype(np.float64) @ state.Theta
-    else:
-        rates = np.zeros((model.n, model.V))
+    rates = state.W.to_matrix().astype(np.float64) @ state.Theta
     return PoissonFactorModel(rng.poisson(rates), model.a_theta, model.b_theta)
 
 

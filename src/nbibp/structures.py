@@ -72,32 +72,29 @@ def _check_history(h, n):
         ints = tuple(map(int, h))
     except (TypeError, ValueError, OverflowError):
         ints = None
-    if ints is None or ints != tuple(h) or min(ints, default=0) < 0:
+    if ints is None or ints != tuple(h) or min(ints) < 0:
         raise ValueError(f"history entries must be integers >= 0, got {h!r}")
-    if n > 0 and not any(ints):
+    if not any(ints):
         raise ValueError("all-zero history: a feature nobody expresses cannot be observed")
     return ints
 
 
 @dataclass(frozen=True)
 class FeatureArray:
-    """An ordered tuple of feature columns over n rows.
+    """An ordered tuple of feature columns over n >= 1 rows.
 
     Column order is meaningful here (simulators emit creation order); the
-    order-free object is CombStruct.  n = 0 with no columns is legal: it is
-    what nbibp_simulate returns for zero rows.
+    order-free object is CombStruct.
     """
 
     n: int
     columns: tuple = ()
 
     def __post_init__(self):
-        if self.n != int(self.n) or self.n < 0:
-            raise ValueError(f"FeatureArray needs integer n >= 0, got {self.n!r}")
+        if self.n != int(self.n) or self.n < 1:
+            raise ValueError(f"FeatureArray needs integer n >= 1, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         cols = tuple(_check_history(col, self.n) for col in self.columns)
-        if self.n == 0 and cols:
-            raise ValueError("a 0-row array cannot have columns")
         object.__setattr__(self, "columns", cols)
 
     @property
@@ -146,8 +143,6 @@ class CombStruct:
 
 def from_array(arr):
     """Collapse a FeatureArray to its label-free structure."""
-    if arr.n < 1:
-        raise ValueError("from_array needs at least one row")
     return CombStruct(arr.n, dict(Counter(arr.columns)))
 
 
@@ -173,7 +168,7 @@ def project(struct, n):
 
 
 def _log_pmf_of(n, columns):
-    """hp -> log p.m.f. of the ordered n-row array with these columns.
+    """(r, c, T) -> log p.m.f. of the ordered n-row array with these columns.
 
     The p.m.f. depends on the array only through n, its column sums and the
     counts of its distinct nonzero entry values, so these are taken once and
@@ -187,11 +182,11 @@ def _log_pmf_of(n, columns):
     hist = sorted(Counter(w for col in columns for w in col if w).items())
     values, counts = np.array(hist, dtype=np.float64).reshape(-1, 2).T
 
-    def log_pmf(hp):
-        r, cnr = hp.r, hp.c + n * hp.r
-        rate = hp.c * hp.T * harmonic_gap(n * r, hp.c)
+    def log_pmf(r, c, T):
+        cnr = c + n * r
+        rate = c * T * harmonic_gap(n * r, c)
         # log c + log T, since c T can underflow to 0.0 where neither factor does
-        out = sums.size * (math.log(hp.c) + math.log(hp.T)) - math.lgamma(sums.size + 1) - rate
+        out = sums.size * (math.log(c) + math.log(T)) - math.lgamma(sums.size + 1) - rate
         out += float(np.sum(betaln(sums, cnr)))
         return out + float(counts @ _log_rising_over_factorial(r, values))
 
@@ -202,7 +197,7 @@ def log_pmf_struct(struct, hp):
     """Exact log probability of a combinatorial structure after n rows: the
     array p.m.f. of any of its orderings plus the log ordering count."""
     cols = [h for h, m in struct.counts.items() for _ in range(m)]
-    return _log_pmf_of(struct.n, cols)(hp) + ordering_count(struct)
+    return _log_pmf_of(struct.n, cols)(hp.r, hp.c, hp.T) + ordering_count(struct)
 
 
 def log_pmf_array(arr, hp):
@@ -211,9 +206,7 @@ def log_pmf_array(arr, hp):
     Depends on the array only through n, its column sums and its entry
     histogram, so it is invariant to column order.
     """
-    if arr.n < 1:
-        raise ValueError("log_pmf_array needs at least one row")
-    return _log_pmf_of(arr.n, arr.columns)(hp)
+    return _log_pmf_of(arr.n, arr.columns)(hp.r, hp.c, hp.T)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,12 @@ from .distributions import (
 from .generative import nbibp_simulate, truncated_oracle_simulate
 from .inference import (
     ChainConfig,
+    ChainState,
     PoissonFactorModel,
     prior_state,
     resample_counts,
     sweep_once,
+    update_mass_T,
 )
 from .numerics import RngStream, harmonic_gap
 from .structures import (
@@ -44,6 +46,7 @@ from .structures import (
     FeatureArray,
     Hyperparams,
     from_array,
+    log_pmf_array,
     log_pmf_struct,
     project,
     struct_from_json,
@@ -484,36 +487,49 @@ def suite_geweke(seed=223):
 
 @_suite("t-update")
 def suite_t_update(seed=0):
-    """The mass conditional T^{alpha+kappa-1} e^{-(beta + c xi_n) T} normalizes
-    to the gamma law the kernel draws from, settling its rate term."""
-    worst = 0.0
-    for (r, c, n, kappa, alpha, beta) in [
+    """The mass kernel's gamma law is the normalized product of the T prior and
+    the shipped array p.m.f.: Gamma(T; alpha, beta) p(W | T) / p(W | 1)
+    integrates to the normalizer of Gamma(alpha + kappa, beta + c xi_n)
+    relative to its value at T = 1, and update_mass_T draws exactly from that
+    law on its stream."""
+
+    def log_gamma(t, shape, rate):
+        return shape * math.log(rate) - gammaln(shape) + (shape - 1.0) * math.log(t) - rate * t
+
+    worst, exact = 0.0, True
+    for k, (r, c, n, kappa, alpha, beta) in enumerate([
         (1.0, 1.0, 3, 2, 1.0, 1.0),
         (2.0, 0.5, 2, 0, 2.0, 3.0),
         (0.5, 2.0, 4, 5, 1.5, 0.7),
         (1.0, 1.0, 1, 1, 1.0, 1.0),
         (3.0, 4.0, 5, 8, 0.5, 2.0),
-    ]:
-        xi = c * (psi(c + n * r) - psi(c))
-        rate = beta + xi
-        shape = alpha + kappa
-        val, err = quad(
-            lambda t: t ** (shape - 1.0) * math.exp(-rate * t),
+    ]):
+        W = FeatureArray(n, tuple(tuple(1 + (i + j) % 3 for i in range(n)) for j in range(kappa)))
+        lp1 = log_pmf_array(W, Hyperparams(r, c, 1.0))
+        val, _ = quad(
+            lambda t: math.exp(
+                log_gamma(t, alpha, beta) + log_pmf_array(W, Hyperparams(r, c, t)) - lp1
+            ),
             0.0,
             np.inf,
             epsabs=1e-13,
             epsrel=1e-12,
         )
-        norst = abs(val * rate ** shape / math.exp(gammaln(shape)) - 1.0)
-        worst = max(worst, norst)
-    return worst <= 1e-8, {"max_norm_err": worst}
+        shape, rate = alpha + kappa, beta + c * harmonic_gap(n * r, c)
+        want = math.exp(log_gamma(1.0, alpha, beta) - log_gamma(1.0, shape, rate))
+        worst = max(worst, abs(val / want - 1.0))
+        state = ChainState(W, np.ones((kappa, 1)), Hyperparams(r, c, 1.0), (alpha, beta),
+                           RngStream(seed, k))
+        twin = RngStream(seed, k)
+        exact = exact and update_mass_T(state).hp.T == twin.gamma(shape, 1.0 / rate)
+    return worst <= 1e-8 and exact, {"max_norm_err": worst, "draws_exact": exact}
 
 
 def run_suites(names=None, seed=None):
     """Run the named suites (all by default); a seed replaces every suite's
     pinned default seed so independent reruns are possible."""
     results = []
-    for name in names or SUITES:
+    for name in SUITES if names is None else names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
         fn = SUITES[name]

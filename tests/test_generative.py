@@ -75,12 +75,12 @@ class TestPredictiveLaw:
 
 
 class TestBuffet:
-    def test_empty_and_zero_rows(self):
+    def test_fewer_than_one_row_refused(self):
         hp = Hyperparams(1.0, 1.0, 1.0)
         rng = RngStream(21, 0)
-        assert nbibp_simulate(0, hp, rng) == FeatureArray(0, ())
-        with pytest.raises(ValueError):
-            nbibp_simulate(-1, hp, rng)
+        for n in (0, -1, 1.5):
+            with pytest.raises(ValueError, match="n >= 1"):
+                nbibp_simulate(n, hp, rng)
 
     def test_step_keeps_existing_columns(self):
         hp = Hyperparams(1.0, 1.0, 1.0)
@@ -129,7 +129,7 @@ class TestSharedRowStep:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_simulate_is_the_folded_step(self, r, c, T, seed):
         hp = Hyperparams(r, c, T)
-        for n in range(7):
+        for n in range(1, 7):
             rng_a, rng_b = RngStream(seed, 0), RngStream(seed, 0)
             columns, sums = [], []
             for m in range(n):

@@ -431,6 +431,23 @@ class TestSingletonKernel:
             several += len(set(want)) > 1
         assert several > 0
 
+    def test_death_only_proposal_draws_no_more(self):
+        # with no birth the move draws the birth count and the accept uniform
+        # alone: the empty slot choice and the empty factor block take no draw
+        hp = Hyperparams(1.0, 1.0, 1e-12)
+        model = PoissonFactorModel([[1], [2]])
+        accepted = 0
+        for seed in range(20):
+            W = FeatureArray(2, ((1, 1), (0, 1)))  # second column private to row 1
+            state = ChainState(W, np.ones((2, 1)), hp, (1.0, 1.0), RngStream(seed, 0))
+            twin = RngStream(seed, 0)
+            assert _new_dishes(hp, 1, twin) == []
+            twin.random()  # dropping the column lowers row 1's likelihood
+            move(update_singletons, state, model, 1)
+            assert state.rng.random() == twin.random()
+            accepted += state.W.kappa == 1
+        assert 0 < accepted < 20
+
     def test_rejections_leave_state_alone(self):
         # row 1's count is large and only its private feature carries rate,
         # so dropping it is almost always rejected
@@ -562,7 +579,7 @@ class TestSweepStructure:
         monkeypatch.setattr(RngStream, "multinomial", counted_multinomial)
         W = state.W
         sweep_once(state, model, ChainConfig())
-        assert state.W is not W  # some move was accepted, so W was rebuilt
+        assert state.W is not W  # rebuilt once per sweep
         assert calls["array"] == 1
         assert calls["multinomial"] == 1
 
@@ -781,8 +798,8 @@ class TestChainDriver:
         init = ChainState(FeatureArray(2, ()), np.zeros((0, 2)), hp, (1.0, 1.0), rng)
         assert log_joint(init, model) == -math.inf
         for state in run_chain(model, init, 5, rng):
-            state.check()
             assert state.Theta.shape == (state.W.kappa, 2)
+            assert (state.Theta > 0.0).all()
 
     def test_states_stay_consistent(self):
         model = PoissonFactorModel([[1, 2], [0, 1], [3, 0]])
@@ -790,8 +807,26 @@ class TestChainDriver:
         rng = RngStream(118, 0)
         init = prior_state(model, hp, (1.0, 1.0), rng)
         for state in run_chain(model, init, 10, rng):
-            state.check()  # kappa/Theta agreement and positivity
+            assert state.Theta.shape == (state.W.kappa, model.V)
+            assert (state.Theta > 0.0).all()
             assert state.W.n == 3
+
+    def test_misfit_states_refused_on_entry(self):
+        # each once got past its entry point: resample_counts returned a
+        # model of the state's shape, not the model's, and sweep_once stopped
+        # in numpy on too few rows (IndexError) or too wide a Theta (broadcast)
+        hp = Hyperparams(1.0, 1.0, 1.0)
+        cases = [
+            (resample_counts, 4, PoissonFactorModel(None, n=3, V=2)),
+            (sweep_once, 2, PoissonFactorModel([[1, 0], [0, 2], [3, 1]])),
+            (sweep_once, 3, PoissonFactorModel([[2, 1]])),
+        ]
+        for seed, (kernel, width, model) in enumerate(cases):
+            state = ChainState(FeatureArray(1, ((2,),)), np.ones((1, width)), hp, (1.0, 1.0),
+                               RngStream(seed, 0))
+            with pytest.raises(ValueError, match="^state has n=1, width "):
+                kernel(state, model)
+            assert state.rng.random() == RngStream(seed, 0).random()  # no draw taken
 
 
 class TestSupportPieces:

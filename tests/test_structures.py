@@ -41,10 +41,10 @@ arrays = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: columns_strategy(n).map(lambda cols: FeatureArray(n, cols))
 )
 
-# n = 0 and entries past int64 included, for the serializer
+# entries past int64 included, for the serializer
 big_entry = st.one_of(st.integers(0, 3), st.integers(2**63, 2**70))
-serialized_arrays = st.integers(min_value=0, max_value=3).flatmap(
-    lambda n: st.lists(st.tuples(*([big_entry] * n)).filter(any), max_size=4 if n else 0).map(
+serialized_arrays = st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.lists(st.tuples(*([big_entry] * n)).filter(any), max_size=4).map(
         lambda cols: FeatureArray(n, tuple(cols))
     )
 )
@@ -68,9 +68,10 @@ def column_loop_log_pmf(arr, hp, num=float, lgamma=math.lgamma):
 
 
 class TestContainers:
-    def test_empty_seed(self):
-        arr = FeatureArray(0, ())
-        assert arr.kappa == 0
+    def test_zero_rows_refused(self):
+        # arrays share the structures' domain, n >= 1
+        with pytest.raises(ValueError, match="n >= 1"):
+            FeatureArray(0, ())
 
     def test_zero_column_rejected(self):
         with pytest.raises(ValueError):
@@ -327,7 +328,6 @@ class TestSerialization:
         assert array_to_json(again) == text
 
     @given(serialized_arrays)
-    @example(FeatureArray(0, ()))
     @example(FeatureArray(1, ()))
     @example(FeatureArray(1, ((2**63,), (1,), (2**64 + 7,))))
     @settings(max_examples=100, deadline=None)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import nbibp.validation as validation
 from nbibp.numerics import RngStream
 from nbibp.validation import (
     SUITES,
@@ -112,6 +113,14 @@ class TestSuitePlumbing:
     def test_unknown_suite_raises(self):
         with pytest.raises(KeyError):
             run_suites(["not-a-suite"])
+
+    def test_empty_selection_runs_nothing(self, monkeypatch):
+        # [] once read as "all" and ran every suite
+        ran = []
+        stub = {name: (lambda name=name: ran.append(name) or name) for name in "abc"}
+        monkeypatch.setattr(validation, "SUITES", stub)
+        assert run_suites([]) == [] and ran == []
+        assert run_suites() == ["a", "b", "c"] and ran == ["a", "b", "c"]
 
     def test_seed_override_reaches_suites(self):
         # the fast analytic suites ignore their seed but must accept one
