@@ -242,12 +242,11 @@ def cmd_infer(args):
 
 
 def cmd_validate(args):
-    names = args.suite or sorted(SUITES)
-    if names == ["none"]:
-        print(_dump({"kind": "report", "suites": [], "passed": True}))
-        return 0
-    if "none" in names:
-        raise ValueError("--suite none cannot be combined with other suites")
+    names = args.suite  # None: every suite, in registration order
+    if names is not None and "none" in names:
+        if names != ["none"]:
+            raise ValueError("--suite none cannot be combined with other suites")
+        names = []
     results = run_suites(names, seed=args.seed)
     for res in results:
         print(_dump(res.to_json()))

@@ -18,24 +18,28 @@ A state the data rule out (a positive count on a zero rate) has log-likelihood
 any possible proposal from it, and the Theta draw leaves such counts unsplit,
 so a chain started there moves on instead of failing.
 
-At rest the chain holds W as a validated FeatureArray.  Within a sweep the
-entry and singleton passes run on an int64 n-by-kappa copy of W with its
-column sums, and W is rebuilt from it once per sweep, after both passes.  The
-two kernels work on that copy: update_entry refreshes one row's shared
-entries, computing the row's rates W_i Theta once, moving them in O(V) for a
-proposal that keeps its entry positive and keeping the rates of an accepted
-one; update_singletons runs one row's birth/death move on the rest, with the
-buffet's new dishes (generative._new_dishes) as its births.  sweep_once calls
-each once per row.  update_theta splits every positive count that has a
-positive rate in one multinomial call.
+The chain holds W as one read-only int64 n-by-kappa count matrix,
+ChainState.counts; a sweep replaces it rather than changing it in place, and
+ChainState.W is the FeatureArray built from it on first read and kept until
+the next replacement.  The entry and singleton passes run on a writable copy
+of the matrix with its column sums, which becomes the state's matrix after
+both passes.  The two kernels work on that copy: update_entry refreshes one
+row's shared entries, computing the row's rates W_i Theta once, moving them
+in O(V) for a proposal that keeps its entry positive and keeping the rates of
+an accepted one; update_singletons runs one row's birth/death move on the
+rest, with the buffet's new dishes (generative._new_dishes) as its births,
+and scores the proposed row before it builds the proposed matrix.
+sweep_once calls each once per row.  update_theta splits every positive
+count that has a positive rate in one multinomial call.
 
 A model built with y=None has a constant likelihood: every acceptance ratio
 is one and Theta reverts to its prior.  The chain then targets the prior
 itself, which is how the prior-invariance harnesses drive these kernels.
 """
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, xlogy
@@ -113,35 +117,53 @@ class PoissonFactorModel:
         return float((xlogy(self.y, rates) - rates - self._log_fact).sum())
 
 
-@dataclass
 class ChainState:
-    """Mutable chain position: the array W, its factor matrix (row j of Theta
-    pairs with column j of W), the hyperparameters, the (alpha, beta) gamma
-    prior on T, and the owning random stream."""
+    """Mutable chain position: the count matrix of W, its factor matrix (row j
+    of Theta pairs with column j of W), the hyperparameters, the (alpha, beta)
+    gamma prior on T, and the owning random stream.
 
-    W: FeatureArray
-    Theta: np.ndarray
-    hp: Hyperparams
-    t_prior: tuple = (1.0, 1.0)
-    rng: object = None
+    It is built from a FeatureArray W.  counts, the n-by-kappa int64 matrix of
+    W, is read-only, and a sweep that moves W assigns a new one.  W is the
+    FeatureArray of counts, built on its first read after each assignment.
+    """
 
-    def __post_init__(self):
-        self.Theta = np.asarray(self.Theta, dtype=np.float64)
+    def __init__(self, W, Theta, hp, t_prior=(1.0, 1.0), rng=None):
+        self.Theta = np.asarray(Theta, dtype=np.float64)
         if self.Theta.ndim != 2:
             raise ValueError(f"Theta must be 2-d, got ndim={self.Theta.ndim}")
-        a, b = self.t_prior
+        a, b = t_prior
         if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-            raise ValueError(f"T prior needs finite alpha, beta > 0, got {self.t_prior!r}")
-        self.t_prior = (float(a), float(b))
-        if self.Theta.shape[0] != self.W.kappa:
-            raise ValueError(
-                f"Theta has {self.Theta.shape[0]} rows but W has {self.W.kappa} columns"
-            )
+            raise ValueError(f"T prior needs finite alpha, beta > 0, got {t_prior!r}")
+        if self.Theta.shape[0] != W.kappa:
+            raise ValueError(f"Theta has {self.Theta.shape[0]} rows but W has {W.kappa} columns")
         if not (self.Theta > 0.0).all():
             raise ValueError("Theta entries must be positive")
+        self.hp, self.t_prior, self.rng = hp, (float(a), float(b)), rng
+        self.counts = W.to_matrix()
+        self._W = W
+
+    @property
+    def counts(self):
+        return self._counts
+
+    @counts.setter
+    def counts(self, M):
+        M.flags.writeable = False
+        self._counts, self._W = M, None
+
+    @property
+    def W(self):
+        if self._W is None:
+            self._W = FeatureArray.from_matrix(self._counts)
+        return self._W
 
     def snapshot(self):
-        return replace(self, Theta=self.Theta.copy())
+        """A copy that later moves of this state leave alone: it shares the
+        read-only counts and their FeatureArray, and owns a copy of Theta."""
+        twin = copy.copy(self)
+        twin._W = self.W  # built once, for this state too
+        twin.Theta = self.Theta.copy()
+        return twin
 
 
 @dataclass(frozen=True)
@@ -195,7 +217,7 @@ class ChainConfig:
 
 def _check_fit(state, model):
     """ValueError unless W has the model's n rows and Theta its V columns."""
-    n, width = state.W.n, state.Theta.shape[1]
+    n, width = state.counts.shape[0], state.Theta.shape[1]
     if (n, width) != (model.n, model.V):
         raise ValueError(f"state has n={n}, width {width}; the model has n={model.n}, V={model.V}")
 
@@ -209,7 +231,7 @@ def log_joint(state, model):
     lp += float(
         np.sum((a - 1.0) * np.log(th) - b * th) + th.size * (a * math.log(b) - gammaln(a))
     )
-    ll = model.loglik(state.W.to_matrix(), state.Theta)
+    ll = model.loglik(state.counts, state.Theta)
     return lp + ll
 
 
@@ -271,16 +293,17 @@ def update_entry(state, model, M, sums, i):
 def update_singletons(state, model, M, sums, i):
     """Birth/death of row i's private columns in the count matrix M of W,
     whose column sums are sums.  On accept it sets state.Theta and returns
-    the new (M, sums), from which the caller rebuilds W; else None.
+    the new (M, sums), whose M the caller makes the state's counts; else None.
 
     Proposes dropping every column only row i expresses and birthing the
     dishes the last of n buffet customers opens, _new_dishes(hp, n - 1), at
     uniform slots with factor rows from the prior; prior and proposal terms
-    cancel, leaving the likelihood ratio of row i.  With no birth and nothing
-    private the proposal is the current state, which is accepted without a
-    draw, so the move returns at once.
+    cancel, leaving the likelihood ratio of row i, which is scored before
+    the proposed matrix is built.  With no birth and nothing private the
+    proposal is the current state, which is accepted without a draw, so the
+    move returns at once.
     """
-    hp, rng = state.hp, state.rng
+    hp, rng, theta = state.hp, state.rng, state.Theta
     n = M.shape[0]
     row = M[i]
     private = (row > 0) & (sums == row)
@@ -289,21 +312,23 @@ def update_singletons(state, model, M, sums, i):
     if born == 0 and not private.any():
         return None
     keep = np.flatnonzero(~private)
-    kappa_star = keep.size + born
-    fresh = np.zeros(kappa_star, dtype=bool)
-    new_M = np.zeros((n, kappa_star), dtype=np.int64)
-    new_theta = np.empty((kappa_star, model.V))
-    fresh[rng.choice(kappa_star, size=born, replace=False)] = True
-    new_M[i, fresh] = masses
-    new_theta[fresh] = _gamma_factors(rng, model.a_theta, model.b_theta, (born, model.V))
-    new_M[:, ~fresh] = M[:, keep]
-    new_theta[~fresh] = state.Theta[keep]
-    if not _accept(
-        model.row_loglik(i, new_M[i].astype(np.float64) @ new_theta),
-        model.row_loglik(i, row.astype(np.float64) @ state.Theta),
-        rng,
-    ):
+    w = row.astype(np.float64)
+    rates = w[keep] @ theta[keep]
+    if born:  # choice(k, size=0) takes no draw, but costs about as much as one
+        slots = rng.choice(keep.size + born, size=born, replace=False)
+        born_theta = _gamma_factors(rng, model.a_theta, model.b_theta, (born, model.V))
+        rates = np.array(masses, dtype=np.float64) @ born_theta + rates
+    if not _accept(model.row_loglik(i, rates), model.row_loglik(i, w @ theta), rng):
         return None
+    fresh = np.zeros(keep.size + born, dtype=bool)
+    new_M = np.zeros((n, fresh.size), dtype=np.int64)
+    new_theta = np.empty((fresh.size, model.V))
+    if born:
+        fresh[slots] = True
+        new_M[i, fresh] = masses
+        new_theta[fresh] = born_theta
+    new_M[:, ~fresh] = M[:, keep]
+    new_theta[~fresh] = theta[keep]
     state.Theta = new_theta
     return new_M, new_M.sum(axis=0)
 
@@ -317,14 +342,14 @@ def update_theta(state, model):
     call, in row-major order.  A count on a zero rate (a state the data rule
     out) stays unsplit.  With no data the draw is the plain prior.
     """
-    kappa = state.W.kappa
+    kappa = state.counts.shape[1]
     if kappa < 1:
         raise ValueError("no factor rows to update on an empty array")
     rng = state.rng
     if model.y is None:
         state.Theta = _gamma_factors(rng, model.a_theta, model.b_theta, (kappa, model.V))
         return state
-    w_mat = state.W.to_matrix().astype(np.float64)
+    w_mat = state.counts.astype(np.float64)
     rows, cols = np.nonzero(model.y)
     weights = w_mat[rows] * state.Theta.T[cols]
     total = weights.sum(axis=1)
@@ -344,8 +369,9 @@ def update_mass_T(state):
     c [psi(c + n r) - psi(c)])."""
     alpha, beta = state.t_prior
     hp = state.hp
-    rate = beta + hp.c * harmonic_gap(state.W.n * hp.r, hp.c)
-    new_t = float(_gamma_factors(state.rng, alpha + state.W.kappa, rate))
+    n, kappa = state.counts.shape
+    rate = beta + hp.c * harmonic_gap(n * hp.r, hp.c)
+    new_t = float(_gamma_factors(state.rng, alpha + kappa, rate))
     state.hp = Hyperparams(hp.r, hp.c, new_t)
     return state
 
@@ -390,7 +416,7 @@ def update_c_r(state, c_prior=HyperPrior(), r_prior=HyperPrior()):
     A prior of None pins its parameter and skips the move.
     """
     r, c, T = state.hp.r, state.hp.c, state.hp.T
-    log_pmf = _log_pmf_of(state.W.n, state.W.columns)
+    log_pmf = _log_pmf_of(state.counts.shape[0], state.counts.T.tolist())
     if c_prior is not None:
         c = _slice_update(c, lambda x: c_prior.log_density(x) + log_pmf(r, x, T), state.rng)
     if r_prior is not None:
@@ -405,11 +431,11 @@ def sweep_once(state, model, config=ChainConfig()):
 
     A state that does not fit the model is refused on entry (_check_fit),
     before any draw; the kernels keep it fitting.  The entry and singleton
-    passes run on an int64 copy of W and its column sums; W is rebuilt (and
-    validated) from it once per sweep, after them.
+    passes run on a copy of state.counts and its column sums, which then
+    replaces state.counts; no FeatureArray is built.
     """
     _check_fit(state, model)
-    M = state.W.to_matrix()
+    M = state.counts.copy()
     sums = M.sum(axis=0)
     for i in range(model.n):
         update_entry(state, model, M, sums, i)
@@ -417,8 +443,8 @@ def sweep_once(state, model, config=ChainConfig()):
         out = update_singletons(state, model, M, sums, i)
         if out is not None:
             M, sums = out
-    state.W = FeatureArray.from_matrix(M)
-    if state.W.kappa:
+    state.counts = M
+    if M.shape[1]:
         update_theta(state, model)
     if config.mass:
         update_mass_T(state)
@@ -462,7 +488,7 @@ def resample_counts(state, model, rng=None):
     ValueError, before any draw, for a state that does not fit the model."""
     _check_fit(state, model)
     rng = state.rng if rng is None else rng
-    rates = state.W.to_matrix().astype(np.float64) @ state.Theta
+    rates = state.counts.astype(np.float64) @ state.Theta
     return PoissonFactorModel(rng.poisson(rates), model.a_theta, model.b_theta)
 
 
@@ -475,11 +501,11 @@ def chain_record(state, sweep, model, full=False):
     lj = log_joint(state, model)
     rec = {
         "sweep": int(sweep),
-        "kappa": state.W.kappa,
+        "kappa": state.counts.shape[1],
         "T": state.hp.T,
         "c": state.hp.c,
         "r": state.hp.r,
-        "total_count": int(sum(sum(col) for col in state.W.columns)),
+        "total_count": int(state.counts.sum()),
         "log_joint": lj if math.isfinite(lj) else None,
     }
     if full:

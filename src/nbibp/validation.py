@@ -422,8 +422,8 @@ def suite_prior_restoration(seed=301):
     ws = np.empty(sweeps)
     for s in range(sweeps):
         sweep_once(state, model, cfg)
-        ks[s] = state.W.kappa
-        ws[s] = sum(sum(col) for col in state.W.columns)
+        ks[s] = state.counts.shape[1]
+        ws[s] = state.counts.sum()
     rng_f = RngStream(seed, 1)
     fk = np.empty(forward_reps)
     fw = np.empty(forward_reps)
@@ -459,7 +459,7 @@ def suite_geweke(seed=223):
     cfg = ChainConfig(mass=True, conc=False, shape=False)
 
     def stats(st, m):
-        return st.W.kappa, sum(sum(c) for c in st.W.columns), int(m.y.sum()), st.hp.T
+        return st.counts.shape[1], int(st.counts.sum()), int(m.y.sum()), st.hp.T
 
     rng_f = RngStream(seed, 1)
     F = np.empty((forward_reps, 4))

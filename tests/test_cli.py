@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import nbibp.cli as cli
+import nbibp.validation
 from nbibp.distributions import (
     BnbParams,
     DigammaParams,
@@ -473,7 +474,7 @@ class TestValidate:
     def test_none_reports_pass(self, capsys):
         code, lines = run_main(capsys, "validate", "--suite", "none")
         assert code == 0
-        assert json.loads(lines[-1]) == {"kind": "report", "suites": [], "passed": True}
+        assert lines == ['{"kind":"report","passed":true}']
 
     def test_selected_fast_suites(self, capsys):
         code, lines = run_main(
@@ -498,6 +499,18 @@ class TestValidate:
         monkeypatch.setitem(cli.SUITES, "geweke", fake(False))
         code, lines = run_main(capsys, "validate", "--suite", "geweke")
         assert code == 1 and json.loads(lines[-1]) == {"kind": "report", "passed": False}
+
+    def test_all_suites_run_in_registration_order(self, capsys, monkeypatch):
+        # with no --suite every suite runs in the order run_suites(None) uses,
+        # which is not alphabetical here
+        def fake(name):
+            return lambda seed=None: SuiteResult(name, True, 1.0, {})
+
+        monkeypatch.setattr(nbibp.validation, "SUITES", {"zeta": fake("zeta"), "alpha": fake("alpha")})
+        code, lines = run_main(capsys, "validate")
+        assert code == 0
+        assert [json.loads(ln)["name"] for ln in lines[:-1]] == ["zeta", "alpha"]
+        assert lines[-1] == '{"kind":"report","passed":true}'
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -7,7 +7,14 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import lognorm, poisson
 
 import nbibp.inference as inference
-from nbibp.distributions import BnbParams, _nb_draw, bnb_log_pmf, bnb_sample
+from nbibp.distributions import (
+    BnbParams,
+    DigammaParams,
+    _nb_draw,
+    bnb_log_pmf,
+    bnb_sample,
+    digamma_sample,
+)
 from nbibp.generative import _new_dishes
 from nbibp.inference import (
     ChainConfig,
@@ -64,13 +71,13 @@ def theta_reference(state, model):
 
 
 def move(kernel, state, model, *args):
-    """Run update_entry or update_singletons on the count matrix of state.W
-    and rebuild W if the kernel moved it: in place (True) or to the (M, sums)
-    it returns."""
-    M = state.W.to_matrix()
+    """Run update_entry or update_singletons on a copy of state.counts, as
+    sweep_once does, and make the moved matrix the state's counts: the copy
+    moved in place (True) or the M of the (M, sums) returned."""
+    M = state.counts.copy()
     out = kernel(state, model, M, M.sum(axis=0), *args)
     if out:
-        state.W = FeatureArray.from_matrix(M if out is True else out[0])
+        state.counts = M if out is True else out[0]
 
 
 def entry_reference(state, model, M, sums, i, j):
@@ -223,6 +230,35 @@ class TestModel:
         want = sum(m.row_loglik(i, W[i] @ theta) for i in range(6))
         assert math.isfinite(want)
         assert m.loglik(W, theta) == pytest.approx(want, rel=1e-12)
+
+
+class TestChainState:
+    def test_w_is_built_from_counts_once(self):
+        state, model = planted_state(40, 15, 8, 137)
+        before = state.counts
+        sweep_once(state, model, ChainConfig())
+        assert not np.array_equal(state.counts, before)  # this sweep moved W
+        W = state.W
+        assert W == FeatureArray.from_matrix(state.counts)
+        assert state.W is W
+
+    def test_counts_are_read_only(self):
+        state, model = planted_state(12, 5, 3, 138)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                state.counts[0, 0] = 1
+            sweep_once(state, model, ChainConfig())
+
+    def test_snapshot_is_unmoved_by_later_sweeps(self):
+        state, model = planted_state(12, 5, 3, 139)
+        snap = state.snapshot()
+        W, counts, theta = snap.W, snap.counts.copy(), snap.Theta.copy()
+        for _ in range(3):
+            sweep_once(state, model, ChainConfig())
+        assert not np.array_equal(state.Theta, theta)
+        assert snap.W is W and W == FeatureArray.from_matrix(counts)
+        assert np.array_equal(snap.counts, counts)
+        assert np.array_equal(snap.Theta, theta)
 
 
 class TestLogJoint:
@@ -448,6 +484,43 @@ class TestSingletonKernel:
             accepted += state.W.kappa == 1
         assert 0 < accepted < 20
 
+    def test_birth_proposal_draws_in_order(self):
+        # the birth count, the masses, the slots, the factor rows, then the
+        # accept uniform on row 1's proposed rates; a rejected proposal
+        # leaves the state's objects as they were
+        hp = Hyperparams(1.0, 1.0, 3.0)
+        model = PoissonFactorModel([[1], [0]])  # every birth lowers row 1's likelihood
+        tail = hp.c + hp.r
+        seen = Counter()
+        for seed in range(40):
+            W, theta = FeatureArray(2, ((1, 1),)), np.array([[0.5]])
+            state = ChainState(W, theta, hp, (1.0, 1.0), RngStream(seed, 0))
+            counts = state.counts
+            twin = RngStream(seed, 0)
+            born = twin.poisson(hp.c * hp.T * harmonic_gap(hp.r, tail))
+            masses = [digamma_sample(DigammaParams(hp.r, tail), twin) for _ in range(born)]
+            if born:
+                slots = twin.choice(1 + born, size=born, replace=False)
+                rows = twin.gamma(1.0, 1.0, (born, 1))
+                new_ll = model.row_loglik(1, np.array(masses, dtype=np.float64) @ rows + 0.5)
+                accept = twin.random() < math.exp(new_ll - model.row_loglik(1, np.array([0.5])))
+            move(update_singletons, state, model, 1)
+            assert state.rng.random() == twin.random()  # same stream position
+            if not born:
+                assert state.counts is counts
+            elif accept:
+                fresh = np.zeros(1 + born, dtype=bool)
+                fresh[slots] = True
+                assert state.counts[:, ~fresh].tolist() == [[1], [1]]
+                assert state.counts[0, fresh].tolist() == [0] * born
+                assert state.counts[1, fresh].tolist() == masses
+                assert np.array_equal(state.Theta[fresh], rows)
+                assert state.Theta[~fresh].tolist() == [[0.5]]
+            else:
+                assert state.counts is counts and state.W is W and state.Theta is theta
+            seen[accept if born else None] += 1
+        assert seen[True] > 0 and seen[False] > 0
+
     def test_rejections_leave_state_alone(self):
         # row 1's count is large and only its private feature carries rate,
         # so dropping it is almost always rejected
@@ -459,8 +532,9 @@ class TestSingletonKernel:
             W = FeatureArray(2, ((1, 0), (0, 5)))
             theta = np.array([[0.1], [10.0]])
             state = ChainState(W, theta, hp, (1.0, 1.0), rng)
+            counts = state.counts
             move(update_singletons, state, model, 1)
-            if state.W is W:
+            if state.counts is counts:
                 rejected += 1
                 assert state.Theta is theta
         assert rejected > 30
@@ -560,8 +634,9 @@ class TestThetaKernel:
 
 
 class TestSweepStructure:
-    def test_one_array_build_and_one_multinomial_per_sweep(self, monkeypatch):
-        # every kernel of the default configuration, c/r slice moves included
+    def test_no_array_build_and_one_multinomial_per_sweep(self, monkeypatch):
+        # every kernel of the default configuration, c/r slice moves included;
+        # W is built from the new counts on its first read after the sweep
         state, model = planted_state(40, 15, 8, 134)
         calls = Counter()
         post_init = FeatureArray.__post_init__
@@ -577,11 +652,12 @@ class TestSweepStructure:
 
         monkeypatch.setattr(FeatureArray, "__post_init__", counted_post_init)
         monkeypatch.setattr(RngStream, "multinomial", counted_multinomial)
-        W = state.W
         sweep_once(state, model, ChainConfig())
-        assert state.W is not W  # rebuilt once per sweep
-        assert calls["array"] == 1
+        assert calls["array"] == 0
         assert calls["multinomial"] == 1
+        W = state.W
+        assert state.W is W
+        assert calls["array"] == 1
 
     def test_entry_pass_scores_each_differing_proposal_once(self, monkeypatch):
         # the reference scores a differing proposal with two row_loglik

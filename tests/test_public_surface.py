@@ -18,6 +18,7 @@ from nbibp import (
     PoissonFactorModel,
     RngStream,
     nbibp_simulate,
+    run_chain,
     sweep_once,
 )
 
@@ -176,6 +177,42 @@ def test_tracer_sees_the_kernels():
     plain = run()
     assert traced[0] == plain[0] and traced[2:] == plain[2:]
     assert np.array_equal(traced[1], plain[1])
+
+
+def test_traced_spans_have_no_negative_times():
+    # the tracer reads state.W between pushing a kernel's span and starting
+    # its clock, so a W built on that read would nest a span before its
+    # parent began; a memoised W is built where the state is read between
+    # sweeps, by the snapshot or the caller, and not inside that slot
+    spans = load_spans()
+    hp = Hyperparams(1.0, 1.0, 2.0)
+    W = FeatureArray(4, ((1, 0, 2, 0), (0, 1, 1, 3), (2, 0, 0, 1)))
+    model = PoissonFactorModel([[1, 0], [2, 1], [3, 4], [0, 2]])
+
+    def chain():
+        init = ChainState(W, np.ones((3, 2)), hp, (1.0, 1.0), RngStream(8, 0))
+        for _ in run_chain(model, init, 3, init.rng):
+            pass
+
+    def sweeps():  # looked up at call time, so that the tracer's wrapper runs
+        state = ChainState(W, np.ones((3, 2)), hp, (1.0, 1.0), RngStream(8, 1))
+        nbibp.inference.sweep_once(state, model)
+        assert state.W.n == 4
+        nbibp.inference.sweep_once(state, model)
+
+    for pattern in (chain, sweeps):
+        tracer = spans.Tracer(nbibp)
+        try:
+            tracer.install()
+            tracer.active = True
+            pattern()
+            tracer.active = False
+        finally:
+            tracer.uninstall()
+        stats = tracer.stats()
+        assert stats["inference.sweep_once.calls"] > 1
+        negative = {k: v for k, v in stats.items() if k.endswith((".s", ".self_s")) and v < 0.0}
+        assert negative == {}, pattern.__name__
 
 
 def test_no_unused_imports():
