@@ -93,15 +93,17 @@ class PoissonFactorModel:
                 raise ValueError("y entries must be >= 0")
             if (y >= 2**63).any():
                 raise ValueError("y entries must be < 2**63")
-            self.y = y = y.astype(np.int64)
-            self._log_fact = gammaln(y + 1.0)
-            self.n, self.V = y.shape
+            self._observe(y.astype(np.int64))
         if self.n < 1 or self.V < 1:
             raise ValueError(f"model needs n, V >= 1, got n={self.n}, V={self.V}")
         if not (0.0 < a_theta < math.inf and 0.0 < b_theta < math.inf):
             raise ValueError(f"factor prior needs finite a, b > 0, got ({a_theta!r}, {b_theta!r})")
         self.a_theta = float(a_theta)
         self.b_theta = float(b_theta)
+
+    def _observe(self, y):
+        """Hold the int64 count matrix y with its log-factorials and shape."""
+        self.y, self._log_fact, (self.n, self.V) = y, gammaln(y + 1.0), y.shape
 
     def row_loglik(self, i, rates):
         """log p(y_i | rates); xlogy makes it -inf where a zero rate meets a positive count."""
@@ -489,7 +491,10 @@ def resample_counts(state, model, rng=None):
     _check_fit(state, model)
     rng = state.rng if rng is None else rng
     rates = state.counts.astype(np.float64) @ state.Theta
-    return PoissonFactorModel(rng.poisson(rates), model.a_theta, model.b_theta)
+    redrawn = object.__new__(PoissonFactorModel)  # Poisson counts need no checks
+    redrawn.a_theta, redrawn.b_theta = model.a_theta, model.b_theta
+    redrawn._observe(rng.poisson(rates))
+    return redrawn
 
 
 def chain_record(state, sweep, model, full=False):

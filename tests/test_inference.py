@@ -939,6 +939,23 @@ class TestSupportPieces:
         mean = total / reps
         assert abs(mean - 3.0) < 3.0 * math.sqrt(3.0 / reps)
 
+    def test_resampled_model_matches_a_checked_one(self):
+        # resample_counts builds its model without the constructor's checks
+        hp = Hyperparams(1.0, 1.0, 1.0)
+        W = FeatureArray(3, ((2, 0, 1), (1, 3, 0)))
+        state = ChainState(W, np.array([[1.5, 0.2], [0.4, 2.0]]), hp, (1.0, 1.0),
+                           RngStream(123, 0))
+        model = resample_counts(state, PoissonFactorModel(None, 0.7, 1.3, n=3, V=2))
+        checked = PoissonFactorModel(model.y, 0.7, 1.3)
+        got, want = vars(model), vars(checked)
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert type(got[name]) is type(value), name
+            if isinstance(value, np.ndarray):
+                assert got[name].dtype == value.dtype and np.array_equal(got[name], value), name
+            else:
+                assert got[name] == value, name
+
     def test_chain_record_fields(self):
         hp = Hyperparams(1.0, 1.0, 1.0)
         rng = RngStream(121, 0)

@@ -45,6 +45,9 @@ EXPORTS = {
 ORACLES = {
     # the exact law that nb_sample, behind `sample --dist nb`, is checked against
     "nb_log_pmf",
+    # the canonical writer of the struct records that struct_from_json, behind
+    # `pmf`, reads; the round-trip tests compare against it
+    "struct_to_json",
 }
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -2,12 +2,18 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.stats import chi2_contingency, chisquare
 
 import nbibp.validation as validation
+from nbibp.generative import nbibp_simulate
 from nbibp.numerics import RngStream
+from nbibp.structures import CombStruct, FeatureArray, Hyperparams, from_array, struct_to_json
 from nbibp.validation import (
     SUITES,
     SuiteResult,
@@ -69,6 +75,49 @@ class TestHelpers:
         )
         assert p < 1e-6
 
+    @pytest.mark.parametrize(
+        "probs, obs, want_obs, want_exp",
+        [
+            # the listed categories carry all the mass: the empty tail once
+            # added a degree of freedom and read p 0.449
+            ({0: 0.5, 1: 0.5}, {0: 480, 1: 520}, [480, 520], [500, 500]),
+            # category 3 expects 5 draws and pools into a tail that holds 7
+            ({0: 0.5, 1: 0.3, 2: 0.195, 3: 0.005}, {0: 480, 1: 310, 2: 203, 3: 7},
+             [480, 310, 203, 7], [500, 300, 195, 5]),
+        ],
+        ids=["empty-tail", "tail-with-draws"],
+    )
+    def test_gof_matches_scipy(self, probs, obs, want_obs, want_exp):
+        p, _, chi2 = gof_chi_square(obs, probs.get, 1000)
+        want = chisquare(want_obs, want_exp)
+        assert chi2 == pytest.approx(want.statistic, rel=1e-12)
+        assert p == pytest.approx(want.pvalue, rel=1e-12)
+
+    def test_gof_impossible_category_rejects(self):
+        probs = {0: 0.5, 1: 0.5, 2: 0.0}
+        p, _, _ = gof_chi_square({0: 495, 1: 504, 2: 1}, probs.get, 1000)
+        assert p < 1e-12
+
+    @pytest.mark.parametrize(
+        "a, b, table",
+        [
+            # every category clears the pooling bar: the empty tail once
+            # counted as a fourth cell and read p 0.2506
+            ({"x": 100, "y": 60, "z": 40}, {"x": 80, "y": 70, "z": 50},
+             [[100, 60, 40], [80, 70, 50]]),
+            # u and v pool into a tail that holds 18 draws
+            ({"x": 100, "y": 60, "u": 5, "v": 6}, {"x": 80, "y": 70, "u": 4, "v": 3},
+             [[100, 60, 11], [80, 70, 7]]),
+        ],
+        ids=["empty-tail", "tail-with-draws"],
+    )
+    def test_two_sample_matches_scipy(self, a, b, table):
+        p, cells, chi2 = two_sample_chi_square(a, b)
+        want = chi2_contingency(table, correction=False)
+        assert cells == len(table[0])
+        assert chi2 == pytest.approx(want.statistic, rel=1e-12)
+        assert p == pytest.approx(want.pvalue, rel=1e-12)
+
     def test_two_sample_identical_is_perfect(self):
         counts = {0: 500, 1: 300, 2: 200}
         p, _, chi2 = two_sample_chi_square(counts, dict(counts))
@@ -83,8 +132,8 @@ class TestHelpers:
         assert tv == pytest.approx(1.0)
 
     def test_pooled_statistics_ignore_hash_seed(self):
-        # string categories, as the suites' JSON keys: set order follows the
-        # hash seed, and the float sums must not
+        # string categories: set order follows the hash seed, and the float
+        # sums must not
         script = (
             "import numpy as np\n"
             "from nbibp.validation import tail_aggregated_tv, two_sample_chi_square\n"
@@ -102,6 +151,35 @@ class TestHelpers:
             assert run.returncode == 0, run.stderr
             outs.add(run.stdout)
         assert len(outs) == 1, outs
+
+
+arrays = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.integers(0, 3)] * n).filter(any), max_size=5
+    ).map(lambda cols: FeatureArray(n, tuple(cols)))
+)
+
+
+class TestStructKey:
+    @given(arrays, st.randoms(use_true_random=False))
+    def test_key_ignores_column_order(self, arr, rand):
+        cols = list(arr.columns)
+        rand.shuffle(cols)
+        assert validation._struct_key(cols) == validation._struct_key(arr.columns)
+
+    @given(arrays)
+    def test_key_rebuilds_the_structure(self, arr):
+        assert CombStruct(arr.n, Counter(validation._struct_key(arr.columns))) == from_array(arr)
+
+    def test_key_counts_match_json_counts(self):
+        hp = Hyperparams(1.0, 1.0, 1.0)
+        rng = RngStream(204, 0)
+        draws = [nbibp_simulate(3, hp, rng) for _ in range(3000)]
+        by_key = validation._struct_counter(a.columns for a in draws)
+        by_json = Counter(struct_to_json(from_array(a)) for a in draws)
+        as_json = {struct_to_json(CombStruct(3, Counter(k))): m for k, m in by_key.items()}
+        assert len(as_json) == len(by_key) > 50
+        assert as_json == by_json
 
 
 class TestSuitePlumbing:
