@@ -29,8 +29,9 @@ in O(V) for a proposal that keeps its entry positive and keeping the rates of
 an accepted one; update_singletons runs one row's birth/death move on the
 rest, with the buffet's new dishes (generative._new_dishes) as its births,
 and scores the proposed row before it builds the proposed matrix.
-sweep_once calls each once per row.  update_theta splits every positive
-count that has a positive rate in one multinomial call.
+sweep_once calls each once per row.  update_theta writes its (n, V, kappa)
+weights into a workspace the state keeps and splits every cell in one
+multinomial call, in which a zero count takes no draw.
 
 A model built with y=None has a constant likelihood: every acceptance ratio
 is one and Theta reverts to its prior.  The chain then targets the prior
@@ -109,7 +110,10 @@ class PoissonFactorModel:
         """log p(y_i | rates); xlogy makes it -inf where a zero rate meets a positive count."""
         if self.y is None:
             return 0.0
-        return float((xlogy(self.y[i], rates) - rates - self._log_fact[i]).sum())
+        out = xlogy(self.y[i], rates)
+        out -= rates
+        out -= self._log_fact[i]
+        return float(out.sum())
 
     def loglik(self, w_mat, theta):
         """log p(y | W Theta): row_loglik's expression over every row at once."""
@@ -127,6 +131,8 @@ class ChainState:
     It is built from a FeatureArray W.  counts, the n-by-kappa int64 matrix of
     W, is read-only, and a sweep that moves W assigns a new one.  W is the
     FeatureArray of counts, built on its first read after each assignment.
+    The state also keeps update_theta's weight workspace, which no snapshot
+    shares.
     """
 
     def __init__(self, W, Theta, hp, t_prior=(1.0, 1.0), rng=None):
@@ -142,7 +148,7 @@ class ChainState:
             raise ValueError("Theta entries must be positive")
         self.hp, self.t_prior, self.rng = hp, (float(a), float(b)), rng
         self.counts = W.to_matrix()
-        self._W = W
+        self._W, self._weights = W, np.empty(0)
 
     @property
     def counts(self):
@@ -161,10 +167,11 @@ class ChainState:
 
     def snapshot(self):
         """A copy that later moves of this state leave alone: it shares the
-        read-only counts and their FeatureArray, and owns a copy of Theta."""
+        read-only counts and their FeatureArray, and owns a copy of Theta
+        and an empty workspace."""
         twin = copy.copy(self)
         twin._W = self.W  # built once, for this state too
-        twin.Theta = self.Theta.copy()
+        twin.Theta, twin._weights = self.Theta.copy(), np.empty(0)
         return twin
 
 
@@ -270,9 +277,10 @@ def update_entry(state, model, M, sums, i):
     tail = hp.c + (M.shape[0] - 1) * hp.r
     row = M[i]
     rates, moved = None, False
-    for j in np.flatnonzero(sums > row):
-        old = row[j]
-        prop = _nb_draw(hp.r, rng.beta(float(sums[j] - old), tail), rng)
+    cols = np.flatnonzero(sums > row)
+    olds = row[cols]
+    for j, old, rest in zip(cols.tolist(), olds.tolist(), (sums[cols] - olds).tolist()):
+        prop = _nb_draw(hp.r, rng.beta(rest, tail), rng)
         if prop == old:
             continue
         if rates is None:
@@ -339,10 +347,12 @@ def update_theta(state, model):
     """Conjugate factor refresh through latent count allocation.
 
     Each observed count splits multinomially across features in proportion to
-    W_{ij} Theta_{jv}; given the split, factor entries are gamma.  All cells
-    with a positive count and a positive rate are split in one multinomial
-    call, in row-major order.  A count on a zero rate (a state the data rule
-    out) stays unsplit.  With no data the draw is the plain prior.
+    W_{ij} Theta_{jv}; given the split, factor entries are gamma.  The
+    (n, V, kappa) weights are written and normalised in the state's kept
+    workspace, which grows when they outgrow it, and all n V cells are split
+    in one multinomial call, in row-major order.  A zero count takes no draw,
+    and a count on a zero rate (a state the data rule out) is passed as zero,
+    so it stays unsplit.  With no data the draw is the plain prior.
     """
     kappa = state.counts.shape[1]
     if kappa < 1:
@@ -351,16 +361,16 @@ def update_theta(state, model):
     if model.y is None:
         state.Theta = _gamma_factors(rng, model.a_theta, model.b_theta, (kappa, model.V))
         return state
-    w_mat = state.counts.astype(np.float64)
-    rows, cols = np.nonzero(model.y)
-    weights = w_mat[rows] * state.Theta.T[cols]
-    total = weights.sum(axis=1)
+    w_mat, size = state.counts.astype(np.float64), model.n * model.V * kappa
+    if state._weights.size < size:
+        state._weights = np.empty(size)
+    weights = state._weights[:size].reshape(model.n, model.V, kappa)
+    np.multiply(w_mat[:, None, :], state.Theta.T, out=weights)
+    total = weights.sum(axis=2)
     live = total > 0.0
-    rows, cols, weights, total = rows[live], cols[live], weights[live], total[live]
-    draws = rng.multinomial(model.y[rows, cols], weights / total[:, None])
-    alloc = np.zeros((model.n * model.V, kappa), dtype=np.int64)
-    alloc[rows * model.V + cols] = draws
-    shape = model.a_theta + alloc.reshape(model.n, model.V, kappa).sum(axis=0).T
+    weights /= np.where(live, total, 1.0)[..., None]
+    draws = rng.multinomial(np.where(live, model.y, 0), weights)
+    shape = model.a_theta + draws.sum(axis=0).T
     rate = model.b_theta + w_mat.sum(axis=0)[:, None]
     state.Theta = _gamma_factors(rng, shape, rate)
     return state

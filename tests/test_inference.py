@@ -150,10 +150,11 @@ def emptying_state():
 
 def dead_cell_state():
     """A planted n=40 state whose row 0 holds one count, at v=0, and expresses
-    three shared columns; the third has Theta_{2,0} = 0, as a gamma draw
-    that underflows leaves it.  On this seed the entry pass drops the first
-    column and proposes to drop the second while the third keeps the row
-    nonempty, so the rate under the count must read exactly zero."""
+    three shared columns; the third has Theta_{2,0} = 0, set by hand after
+    construction, since ChainState refuses a zero factor and _gamma_factors
+    floors a draw that underflows.  On this seed the entry pass drops the
+    first column and proposes to drop the second while the third keeps the
+    row nonempty, so the rate under the count must read exactly zero."""
     state, model = planted_state(40, 15, 8, 6)
     M, y = state.W.to_matrix(), model.y.copy()
     M[0] = 0
@@ -163,6 +164,19 @@ def dead_cell_state():
     W = FeatureArray.from_matrix(M)
     state = ChainState(W, state.Theta.copy(), state.hp, (1.0, 1.0), RngStream(6, 0))
     state.Theta[2:, 0] = 0.0
+    return state, PoissonFactorModel(y)
+
+
+def sparse_state():
+    """A planted n=30 state whose y keeps about one count in ten: row 0 holds
+    none, and Theta_{.,1} = 0, set by hand after construction, leaves one
+    positive count, y_{2,1}, on a zero rate."""
+    state, model = planted_state(30, 20, 6, 138)
+    y = np.where(np.random.default_rng(138).random(model.y.shape) < 0.1, model.y, 0)
+    y[0] = 0
+    y[:, 1] = 0
+    y[2, 1] = 3
+    state.Theta[:, 1] = 0.0
     return state, PoissonFactorModel(y)
 
 
@@ -379,10 +393,14 @@ class TestEntryKernel:
                 )
                 assert abs(flux_a - flux_b) < 4.0 * se + 1e-12, (z, zp)
 
-    @pytest.mark.parametrize("seed", [134, 135, 136])
-    def test_row_pass_matches_reference(self, seed):
-        state, model = planted_state(40, 15, 8, seed)
-        twin, _ = planted_state(40, 15, 8, seed)
+    @pytest.mark.parametrize(
+        "size, seed",
+        [((40, 15, 8), 134), ((40, 15, 8), 135), ((40, 15, 8), 136), ((100, 50, 16), 137)],
+        ids=["134", "135", "136", "100x50x16"],
+    )
+    def test_row_pass_matches_reference(self, size, seed):
+        state, model = planted_state(*size, seed)
+        twin, _ = planted_state(*size, seed)
         got = entry_pass(state, model)
         want = entry_pass(twin, model, reference=True)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -600,14 +618,52 @@ class TestThetaKernel:
             update_theta(state, model)
             assert (state.Theta > 0.0).all()
 
-    def test_matches_scalar_loop(self):
-        state, model = planted_state(12, 7, 5, 131)
-        twin = state.snapshot()
-        twin.rng = RngStream(131, 0)
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: planted_state(12, 7, 5, 131), lambda: planted_state(100, 50, 16, 137), sparse_state],
+        ids=["12x7", "100x50x16", "sparse"],
+    )
+    def test_matches_scalar_loop(self, make):
+        # a zero count, or a count on a zero rate, takes no draw in either form
+        state, model = make()
+        twin, _ = make()
         update_theta(state, model)
         want = theta_reference(twin, model)
         assert np.array_equal(state.Theta, want)
         assert state.rng.random() == twin.rng.random()  # same stream position
+
+    def test_workspace_follows_kappa(self):
+        # the kept weights grow at kappa 12 and are reused at 3 and 12
+        state, model = planted_state(30, 20, 8, 139)
+        twin, _ = planted_state(30, 20, 8, 139)
+        kept = []
+        for kappa in (8, 12, 3, 12):
+            other, _ = planted_state(30, 20, kappa, 140 + kappa)
+            for s in (state, twin):
+                s.counts, s.Theta = other.counts, other.Theta.copy()
+            update_theta(state, model)
+            assert np.array_equal(state.Theta, theta_reference(twin, model)), kappa
+            assert state.rng.random() == twin.rng.random()
+            kept.append(state._weights)
+        assert [w.size for w in kept] == [30 * 20 * 8] + [30 * 20 * 12] * 3
+        assert kept[1] is kept[2] is kept[3]
+
+    def test_snapshot_shares_no_workspace(self):
+        # a snapshot swept on its own stream between two sweeps of its parent
+        # leaves the parent's draws those of an untouched twin
+        state, model = planted_state(40, 15, 8, 141)
+        twin, _ = planted_state(40, 15, 8, 141)
+        sweep_once(state, model)
+        sweep_once(twin, model)
+        snap = state.snapshot()
+        snap.rng = RngStream(142, 0)
+        sweep_once(snap, model)
+        assert not np.shares_memory(snap._weights, state._weights)
+        sweep_once(state, model)
+        sweep_once(twin, model)
+        assert np.array_equal(state.counts, twin.counts)
+        assert np.array_equal(state.Theta, twin.Theta) and state.hp == twin.hp
+        assert state.rng.random() == twin.rng.random()
 
     def test_zero_row_with_zero_counts_draws_nothing(self):
         hp = Hyperparams(1.0, 1.0, 1.0)
