@@ -24,10 +24,14 @@ of its flags: rerunning with the same flags produces byte-identical output.
 Replicate k draws from the stream keyed (seed, k), so outputs are independent
 of any scheduling; each command builds one stream and re-keys it per
 replicate.
+
+The argument parser is built once per process, on the first main call, and
+reused by every later call; importing this module builds none.
 """
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -266,7 +270,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"nbibp: error: {message}\n")
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argparse tree, built on the first main call and kept for the
+    process.  parse_args makes a fresh namespace on each call and copies an
+    'append' default before appending, so one tree serves every call."""
     top = _Parser(
         prog="nbibp",
         description="count-valued latent feature processes: simulate, evaluate, infer, verify",
@@ -335,8 +343,11 @@ def main(argv=None):
     )
     p.add_argument("--seed", type=int, default=None, help="override per-suite default seeds")
     p.set_defaults(fn=cmd_validate)
+    return top
 
-    args = top.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (OSError, RuntimeError, ValueError) as exc:

@@ -137,8 +137,11 @@ def _nb_draw(r, p, rng):
     one gamma then one Poisson draw from rng, none when p <= 0.
 
     Caps the Poisson rate at 1e18 so a beta draw that rounds to 1.0 cannot
-    crash the Poisson sampler; the cap is reachable only on events of
-    probability below 1e-15 for the parameter ranges this package uses.
+    crash the Poisson sampler.  The cap is reached in practice: a cold infer
+    chain whose c/r moves drift to tiny c and r (about 0.07 and 0.004) draws
+    betas that round to 1, and its entries land near 1e18.  The cap bounds
+    each draw, not a sum of them; update_entry rejects a proposal that
+    would carry its column sum past int64.
     """
     if p <= 0.0:
         return 0

@@ -128,9 +128,10 @@ class ChainState:
     of Theta pairs with column j of W), the hyperparameters, the (alpha, beta)
     gamma prior on T, and the owning random stream.
 
-    It is built from a FeatureArray W.  counts, the n-by-kappa int64 matrix of
-    W, is read-only, and a sweep that moves W assigns a new one.  W is the
-    FeatureArray of counts, built on its first read after each assignment.
+    It is built from a FeatureArray W whose column sums are below 2**63.
+    counts, the n-by-kappa int64 matrix of W, is read-only, and a sweep that
+    moves W assigns a new one.  W is the FeatureArray of counts, built on its
+    first read after each assignment.
     The state also keeps update_theta's weight workspace, which no snapshot
     shares.
     """
@@ -146,6 +147,8 @@ class ChainState:
             raise ValueError(f"Theta has {self.Theta.shape[0]} rows but W has {W.kappa} columns")
         if not (self.Theta > 0.0).all():
             raise ValueError("Theta entries must be positive")
+        if any(sum(col) >= 2**63 for col in W.columns):
+            raise ValueError("W column sums must be < 2**63")
         self.hp, self.t_prior, self.rng = hp, (float(a), float(b)), rng
         self.counts = W.to_matrix()
         self._W, self._weights = W, np.empty(0)
@@ -271,7 +274,8 @@ def update_entry(state, model, M, sums, i):
     given everything else, so the acceptance ratio is the likelihood ratio
     alone.  A proposal is scored on the row rates plus (prop - old) Theta_j,
     or on a fresh mat-vec if it zeroes its entry, so an unsupported rate
-    reads 0.
+    reads 0.  A proposal that would carry its column sum to 2**63, past
+    int64, is rejected without a draw, like an impossible one.
     """
     hp, rng, theta = state.hp, state.rng, state.Theta
     tail = hp.c + (M.shape[0] - 1) * hp.r
@@ -281,7 +285,7 @@ def update_entry(state, model, M, sums, i):
     olds = row[cols]
     for j, old, rest in zip(cols.tolist(), olds.tolist(), (sums[cols] - olds).tolist()):
         prop = _nb_draw(hp.r, rng.beta(rest, tail), rng)
-        if prop == old:
+        if prop == old or (prop > old and rest + prop >= 2**63):
             continue
         if rates is None:
             rates = row.astype(np.float64) @ theta
@@ -520,7 +524,7 @@ def chain_record(state, sweep, model, full=False):
         "T": state.hp.T,
         "c": state.hp.c,
         "r": state.hp.r,
-        "total_count": int(state.counts.sum()),
+        "total_count": sum(state.counts.sum(axis=0).tolist()),
         "log_joint": lj if math.isfinite(lj) else None,
     }
     if full:

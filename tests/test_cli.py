@@ -423,6 +423,33 @@ class TestErrorBoundary:
         assert all(rec["T"] > 0.0 for rec in records)
         assert min(rec["T"] for rec in records) == math.ulp(0.0)
 
+    def test_entry_column_sums_stay_in_int64(self, tmp_path, capsys):
+        # on this planted input the c/r moves drift to c ~ 0.07 and r ~ 0.004,
+        # a birth lands near the 1e18 rate cap, and entry proposals of that
+        # size would carry the column sum past int64 at sweep 5
+        y = [
+            [0, 3, 7, 0, 3, 3, 1, 1, 3, 2], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 2, 1, 3, 0, 0, 1, 1, 2],
+            [4, 3, 9, 1, 0, 5, 7, 3, 1, 1], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [2, 5, 5, 3, 4, 10, 6, 3, 2, 0], [8, 6, 9, 4, 10, 7, 8, 2, 10, 3],
+            [1, 0, 3, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [5, 1, 6, 0, 1, 3, 6, 1, 2, 0], [1, 0, 1, 0, 2, 0, 0, 0, 0, 0],
+            [1, 3, 2, 1, 0, 1, 2, 4, 1, 3], [2, 2, 1, 0, 6, 1, 2, 2, 0, 0],
+            [0, 3, 5, 1, 4, 0, 3, 4, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [10, 6, 4, 4, 0, 2, 4, 3, 3, 0], [5, 1, 4, 0, 3, 2, 2, 0, 0, 0],
+            [6, 3, 3, 1, 1, 0, 2, 1, 1, 2], [0, 1, 1, 0, 2, 0, 2, 1, 1, 0],
+        ]
+        path = tmp_path / "y.json"
+        path.write_text(json.dumps(y))
+        code = cli.main(
+            ["infer", "--in", str(path), "--sweeps", "8", "--seed", "2356886480085435644"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        counts = [json.loads(ln)["total_count"] for ln in captured.out.splitlines()]
+        assert len(counts) == 9 and all(0 <= t < 2**63 for t in counts)
+        assert max(counts) > 2**62  # the chain does reach the bound
+
     def test_lognormal_prior_far_from_its_mode(self, capsys):
         # ((log c - mu) / sigma) ** 2 overflows a double for a tiny sigma
         code = cli.main(
@@ -513,6 +540,77 @@ class TestValidate:
         assert lines[-1] == '{"kind":"report","passed":true}'
 
     def test_unknown_suite_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["validate", "--suite", "no-such-suite"])
+        for _ in range(2):  # the parser the first call builds lists the same choices
+            assert exit_status(["validate", "--suite", "no-such-suite"]) == 2
+            err = capsys.readouterr().err
+            listed = err.split("(choose from ", 1)[1].rstrip(")\n").split(",")
+            assert {name.strip(" '") for name in listed} == {*cli.SUITES, "none"}
+
+
+class TestParserReuse:
+    @pytest.fixture
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_built_once_per_process(self, capsys, monkeypatch, fresh_parser):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        calls = (
+            ["sample", "--reps", "2", "--seed", "1"],
+            ["simulate", "--n", "2", "--reps", "2", "--seed", "1"],
+            ["infer", "--synthetic", "--n", "3", "--V", "2", "--sweeps", "2", "--seed", "1"],
+            ["validate", "--suite", "none"],
+        )
+        for argv in calls:
+            assert cli.main(argv) == 0
+            assert len(built) == 6, argv  # the top parser and one per command, once
         capsys.readouterr()
+
+    def test_import_builds_no_parser(self):
+        code = """if True:
+            import argparse
+            built = []
+            init = argparse.ArgumentParser.__init__
+
+            def counting(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                init(self, *args, **kwargs)
+
+            argparse.ArgumentParser.__init__ = counting
+            import nbibp.cli
+            assert not built, built
+        """
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+
+    def test_usage_error_leaves_next_call_unchanged(self, capsys, fresh_parser):
+        argvs = (
+            ["infer", "--synthetic", "--n", "4", "--V", "3", "--sweeps", "3", "--seed", "7"],
+            ["validate", "--suite", "none"],
+        )
+        firsts = []
+        for argv in argvs:
+            assert cli.main(argv) == 0
+            firsts.append(capsys.readouterr().out)
+        for bad in (
+            ["infer", "--synthetic", "--sweeps", "two", "--seed", "7"],
+            ["validate", "--suite", "none", "--suite", "none"],
+            ["validate", "--suite", "no-such-suite"],
+            ["no-such-command"],
+        ):
+            assert exit_status(bad) == 2, bad
+            captured = capsys.readouterr()
+            assert captured.out == "", bad
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("nbibp: error: "), (bad, lines)
+            for argv, first in zip(argvs, firsts):
+                assert cli.main(argv) == 0
+                assert capsys.readouterr().out == first, (bad, argv)

@@ -275,6 +275,15 @@ class TestChainState:
         assert np.array_equal(snap.Theta, theta)
 
 
+    def test_column_sums_past_int64_refused(self):
+        hp = Hyperparams(1.0, 1.0, 1.0)
+        top = ChainState(FeatureArray(2, ((2**62, 2**62 - 1),)), np.ones((1, 1)), hp)
+        assert top.counts.sum(axis=0).tolist() == [2**63 - 1]
+        for cols in (((2**62, 2**62),), ((1, 0), (2**63, 0))):
+            with pytest.raises(ValueError, match=r"^W column sums must be < 2\*\*63$"):
+                ChainState(FeatureArray(2, cols), np.ones((len(cols), 1)), hp)
+
+
 class TestLogJoint:
     def test_hand_value(self):
         hp = Hyperparams(1.0, 1.0, 1.0)
@@ -333,6 +342,26 @@ class TestEntryKernel:
             assert state.rng.random() == twin.random()  # same stream position
             moved += want != 3
         assert moved > 0
+
+    @pytest.mark.parametrize(
+        "model",
+        [PoissonFactorModel(n=2, V=1), PoissonFactorModel([[0], [0]])],
+        ids=["flat", "data"],
+    )
+    def test_proposal_past_int64_rejected_without_draw(self, model):
+        # the other row holds 2**63 - 10, so the beta draw rounds to 1 and the
+        # proposal lands near the 1e18 rate cap: its column sum would pass
+        # int64, so it is rejected before scoring, with no uniform drawn
+        hp = Hyperparams(1.0, 1.0, 1.0)
+        state = flat_state(FeatureArray(2, ((0, 2**63 - 10),)), hp, 7)
+        twin = RngStream(7, 0)
+        want = _nb_draw(1.0, twin.beta(2**63 - 10, 2.0), twin)
+        assert want >= 10
+        M = state.counts.copy()
+        sums = M.sum(axis=0)
+        assert not update_entry(state, model, M, sums, 0)
+        assert M.tolist() == [[0], [2**63 - 10]] and sums.tolist() == [2**63 - 10]
+        assert state.rng.random() == twin.random()  # same stream position
 
     def test_flat_marginal_is_conditional_prior(self):
         # with a flat likelihood every proposal is accepted, so the entry's
@@ -1022,6 +1051,14 @@ class TestSupportPieces:
         assert rec["log_joint"] is not None and "W" not in rec
         full = chain_record(state, 5, model, full=True)
         assert full["W"] == [[2]] and full["Theta"] == [[1.5]]
+
+    def test_chain_record_total_count_is_exact(self):
+        # each column fits int64, but their total does not
+        hp = Hyperparams(1.0, 1.0, 1.0)
+        big = 6 * 10**18
+        state = ChainState(FeatureArray(1, ((big,), (big,))), np.ones((2, 1)), hp)
+        rec = chain_record(state, 0, PoissonFactorModel([[0]]))
+        assert rec["total_count"] == 2 * big
 
     def test_chain_record_null_on_impossible(self):
         hp = Hyperparams(1.0, 1.0, 1.0)
