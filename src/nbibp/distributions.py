@@ -136,18 +136,21 @@ def _nb_draw(r, p, rng):
     """One NB(r, p) count, a Python int, through the gamma-Poisson mixture:
     one gamma then one Poisson draw from rng, none when p <= 0.
 
-    Caps the Poisson rate at 1e18 so a beta draw that rounds to 1.0 cannot
-    crash the Poisson sampler.  The cap is reached in practice: a cold infer
-    chain whose c/r moves drift to tiny c and r (about 0.07 and 0.004) draws
-    betas that round to 1, and its entries land near 1e18.  The cap bounds
-    each draw, not a sum of them; update_entry rejects a proposal that
-    would carry its column sum past int64.
+    Floors 1 - p at 1e-300 and caps the Poisson rate at 1e18, so a beta
+    draw that rounds to 1.0 cannot crash the Poisson sampler.  Both guards
+    are plain comparisons, which run on every draw of the buffet and the
+    entry kernel; on the finite, non-NaN values a gamma and a beta draw give
+    they equal max(q, 1e-300) and min(rate, 1e18).  The cap is reached in
+    practice: a cold infer chain whose c/r moves drift to tiny c and r
+    (about 0.07 and 0.004) draws betas that round to 1, and its entries land
+    near 1e18.  The cap bounds each draw, not a sum of them; update_entry
+    rejects a proposal that would carry its column sum past int64.
     """
     if p <= 0.0:
         return 0
     q = 1.0 - p
-    lam = rng.gamma(r) * (p / max(q, 1e-300))
-    return rng.poisson(min(lam, 1e18))
+    lam = rng.gamma(r) * (p / (q if q > 1e-300 else 1e-300))
+    return rng.poisson(lam if lam < 1e18 else 1e18)
 
 
 def nb_sample(params, rng):
@@ -168,10 +171,9 @@ def digamma_sample_rounds(params, rng):
     psi(theta))), which stays below max(r, 1/r) for every parameter choice.
     """
     r, theta = params.r, params.theta
-    bound = max(r, 1.0)
+    bound = r if r > 1.0 else 1.0
     for rounds in range(1, REJECTION_CAP + 1):
-        p = rng.beta(1.0, theta)
-        y = _nb_draw(r, p, rng)
+        y = _nb_draw(r, rng.beta(1.0, theta), rng)
         if bound * rng.random() < (y + r) / (y + 1.0):
             return y + 1, rounds
     raise RuntimeError(

@@ -7,8 +7,9 @@ Three routes produce draws from the same law:
   and opens Poisson(c T [psi(c + (m+1) r) - psi(c + m r)]) new dishes, each
   with a digamma(r, c + m r) count.  predictive_step draws that row and
   appends it in place to list columns with running column sums;
-  nbibp_simulate runs it n times from no columns and builds one FeatureArray
-  at the end, so the predictive and the prior share one code path.
+  nbibp_simulate runs it n times from no columns and wraps the columns in
+  one FeatureArray at the end, unchecked since it drew them, so the
+  predictive and the prior share one code path.
 * bnbp_sample_finitary: the one-shot finite construction of the process
   masses themselves, Poisson-many atoms with digamma counts plus BNB counts
   at fixed atoms of the base, which no other route or module takes.
@@ -32,7 +33,7 @@ from .distributions import (
     DigammaParams,
     _nb_draw,
     bnb_sample,
-    digamma_sample,
+    digamma_sample_rounds,
 )
 from .numerics import harmonic_gap
 from .structures import FeatureArray
@@ -53,7 +54,7 @@ def _new_dishes(hp, m, rng):
     if not fresh:
         return []
     mass_law = DigammaParams(hp.r, tail)
-    return [digamma_sample(mass_law, rng) for _ in range(fresh)]
+    return [digamma_sample_rounds(mass_law, rng)[0] for _ in range(fresh)]
 
 
 def predictive_step(columns, sums, m, hp, rng):
@@ -64,9 +65,10 @@ def predictive_step(columns, sums, m, hp, rng):
     beta-mixed negative binomial; the fresh columns, _new_dishes(hp, m, rng),
     follow in draw order after the existing columns.
     """
-    cnr = hp.c + m * hp.r
+    r, beta = hp.r, rng.beta
+    cnr = hp.c + m * r
     for k, col in enumerate(columns):
-        z = _nb_draw(hp.r, rng.beta(sums[k], cnr), rng)
+        z = _nb_draw(r, beta(sums[k], cnr), rng)
         col.append(z)
         sums[k] += z
     for z in _new_dishes(hp, m, rng):
@@ -81,7 +83,7 @@ def nbibp_simulate(n, hp, rng):
     columns, sums = [], []
     for m in range(int(n)):
         predictive_step(columns, sums, m, hp, rng)
-    return FeatureArray(int(n), tuple(map(tuple, columns)))
+    return FeatureArray._unchecked(int(n), tuple(map(tuple, columns)))
 
 
 def bnbp_sample_finitary(hp, rng, fixed_atoms=()):
@@ -185,4 +187,4 @@ def truncated_oracle_simulate(n, hp, epsilon, rng):
         col = tuple(_nb_draw(hp.r, p, rng) for _ in range(n))
         if any(col):
             cols.append(col)
-    return FeatureArray(n, tuple(cols))
+    return FeatureArray._unchecked(n, tuple(cols))

@@ -113,7 +113,7 @@ class PoissonFactorModel:
         out = xlogy(self.y[i], rates)
         out -= rates
         out -= self._log_fact[i]
-        return float(out.sum())
+        return float(np.add.reduce(out))
 
     def loglik(self, w_mat, theta):
         """log p(y | W Theta): row_loglik's expression over every row at once."""
@@ -164,8 +164,9 @@ class ChainState:
 
     @property
     def W(self):
-        if self._W is None:
-            self._W = FeatureArray.from_matrix(self._counts)
+        if self._W is None:  # counts hold n >= 1 rows and no all-zero column
+            M = self._counts
+            self._W = FeatureArray._unchecked(M.shape[0], tuple(map(tuple, M.T.tolist())))
         return self._W
 
     def snapshot(self):
@@ -278,13 +279,14 @@ def update_entry(state, model, M, sums, i):
     int64, is rejected without a draw, like an impossible one.
     """
     hp, rng, theta = state.hp, state.rng, state.Theta
-    tail = hp.c + (M.shape[0] - 1) * hp.r
+    r, beta = hp.r, rng.beta
+    tail = hp.c + (M.shape[0] - 1) * r
     row = M[i]
     rates, moved = None, False
-    cols = np.flatnonzero(sums > row)
+    cols = (sums > row).nonzero()[0]
     olds = row[cols]
     for j, old, rest in zip(cols.tolist(), olds.tolist(), (sums[cols] - olds).tolist()):
-        prop = _nb_draw(hp.r, rng.beta(rest, tail), rng)
+        prop = _nb_draw(r, beta(rest, tail), rng)
         if prop == old or (prop > old and rest + prop >= 2**63):
             continue
         if rates is None:
@@ -325,7 +327,7 @@ def update_singletons(state, model, M, sums, i):
     born = len(masses)
     if born == 0 and not private.any():
         return None
-    keep = np.flatnonzero(~private)
+    keep = (~private).nonzero()[0]
     w = row.astype(np.float64)
     rates = w[keep] @ theta[keep]
     if born:  # choice(k, size=0) takes no draw, but costs about as much as one

@@ -16,6 +16,13 @@ exact and files diff cleanly:
 
 Structure counts are serialized in ascending column order (tuple comparison,
 first differing coordinate decides), making the encoding canonical.
+
+Arrays are checked where they enter: FeatureArray(n, columns), from_matrix
+and array_from_json refuse any n, length or entry that is not a valid array.
+Columns the package draws or derives itself (the buffet and the truncated
+oracle, and the chain's W from its int64 count matrix) are already tuples of
+Python ints, so those build through FeatureArray._unchecked and skip the
+check.
 """
 
 import json
@@ -96,6 +103,16 @@ class FeatureArray:
         object.__setattr__(self, "n", int(self.n))
         cols = tuple(_check_history(col, self.n) for col in self.columns)
         object.__setattr__(self, "columns", cols)
+
+    @classmethod
+    def _unchecked(cls, n, columns):
+        """The array of a Python int n >= 1 and a tuple of columns that are
+        tuples of n Python ints >= 0, none all zero, built without
+        __post_init__: only for columns the package drew or derived itself."""
+        arr = object.__new__(cls)
+        object.__setattr__(arr, "n", n)
+        object.__setattr__(arr, "columns", columns)
+        return arr
 
     @property
     def kappa(self):

@@ -31,7 +31,8 @@ class TestPredictiveLaw:
     def laws(monkeypatch, columns, m, hp):
         seen = {"beta": [], "gamma": [], "digamma": [], "poisson": []}
         monkeypatch.setattr(
-            generative, "digamma_sample", lambda p, rng: seen["digamma"].append(p) or 1
+            generative, "digamma_sample_rounds",
+            lambda p, rng: seen["digamma"].append(p) or (1, 1),
         )
 
         class TwoFresh:
@@ -92,6 +93,21 @@ class TestBuffet:
         assert all(col[:2] == [0, 0] for col in columns[2:])
         assert sums == [sum(col) for col in columns]
         FeatureArray(3, tuple(map(tuple, columns)))  # a valid 3-row array
+
+    def test_draws_run_no_array_check(self, monkeypatch):
+        # the simulators build their arrays from columns they drew, so no
+        # FeatureArray.__post_init__ runs; the check stays on the public path
+        checks = []
+        post_init = FeatureArray.__post_init__
+        monkeypatch.setattr(
+            FeatureArray, "__post_init__", lambda self: checks.append(1) or post_init(self)
+        )
+        hp = Hyperparams(1.0, 1.0, 2.0)
+        rng = RngStream(5, 0)
+        drawn = [nbibp_simulate(3, hp, rng), truncated_oracle_simulate(3, hp, 1e-3, rng)]
+        assert all(arr.kappa for arr in drawn) and checks == []
+        FeatureArray(1, ((1,),))
+        assert checks == [1]
 
     def test_feature_total_matches_harmonic_rate(self):
         # E[kappa after n rows] = c T (psi(c + n r) - psi(c))

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import lognorm, poisson
 
@@ -15,7 +17,7 @@ from nbibp.distributions import (
     bnb_sample,
     digamma_sample,
 )
-from nbibp.generative import _new_dishes
+from nbibp.generative import _new_dishes, nbibp_simulate, truncated_oracle_simulate
 from nbibp.inference import (
     ChainConfig,
     ChainState,
@@ -282,6 +284,39 @@ class TestChainState:
         for cols in (((2**62, 2**62),), ((1, 0), (2**63, 0))):
             with pytest.raises(ValueError, match=r"^W column sums must be < 2\*\*63$"):
                 ChainState(FeatureArray(2, cols), np.ones((len(cols), 1)), hp)
+
+
+class TestUncheckedArrays:
+    """The simulators' draws and the chain's W are built without
+    FeatureArray's check.  Each must equal the checked array of its n and
+    columns, with Python int entries: a numpy integer compares equal but
+    changes the repr that the stream pins hash."""
+
+    @staticmethod
+    def assert_valid(arr):
+        assert arr == FeatureArray(arr.n, arr.columns)
+        assert type(arr.n) is int and type(arr.columns) is tuple
+        assert all(type(col) is tuple for col in arr.columns)
+        assert all(type(w) is int for col in arr.columns for w in col)
+
+    @given(
+        r=st.floats(0.05, 5.0),
+        c=st.floats(0.05, 5.0),
+        T=st.floats(0.05, 20.0),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_package_arrays_pass_the_check(self, r, c, T, n, seed):
+        hp = Hyperparams(r, c, T)
+        rng = RngStream(seed, 0)
+        for _ in range(4):
+            self.assert_valid(nbibp_simulate(n, hp, rng))
+            self.assert_valid(truncated_oracle_simulate(n, hp, 1e-3, rng))
+        state, model = planted_state(n, 3, 4, seed, hp)
+        for _ in range(3):
+            sweep_once(state, model, ChainConfig())
+            self.assert_valid(state.W)
 
 
 class TestLogJoint:
@@ -721,21 +756,28 @@ class TestThetaKernel:
 class TestSweepStructure:
     def test_no_array_build_and_one_multinomial_per_sweep(self, monkeypatch):
         # every kernel of the default configuration, c/r slice moves included;
-        # W is built from the new counts on its first read after the sweep
+        # W is built from the new counts on its first read after the sweep.
+        # Builds are counted through the checked and the unchecked constructor
         state, model = planted_state(40, 15, 8, 134)
         calls = Counter()
         post_init = FeatureArray.__post_init__
+        unchecked = FeatureArray._unchecked.__func__
         multinomial = RngStream.multinomial
 
         def counted_post_init(self):
             calls["array"] += 1
             post_init(self)
 
+        def counted_unchecked(cls, n, columns):
+            calls["array"] += 1
+            return unchecked(cls, n, columns)
+
         def counted_multinomial(self, n, pvals):
             calls["multinomial"] += 1
             return multinomial(self, n, pvals)
 
         monkeypatch.setattr(FeatureArray, "__post_init__", counted_post_init)
+        monkeypatch.setattr(FeatureArray, "_unchecked", classmethod(counted_unchecked))
         monkeypatch.setattr(RngStream, "multinomial", counted_multinomial)
         sweep_once(state, model, ChainConfig())
         assert calls["array"] == 0

@@ -152,34 +152,46 @@ def test_tracer_targets_exist_and_uninstall_cleanly():
 
 def test_tracer_sees_the_kernels():
     # sweep_once and nbibp_simulate call the row kernels through their module
-    # names, so the tracer's wrappers count one call per row; tracing takes
-    # no draws, so the results equal an untraced twin's
+    # names, so the tracer's wrappers count one call per row, and the buffet
+    # opens each dish with one digamma_sample_rounds call; tracing takes no
+    # draws, so the results equal an untraced twin's
     spans = load_spans()
     hp = Hyperparams(1.0, 1.0, 2.0)
     W = FeatureArray(4, ((1, 0, 2, 0), (0, 1, 1, 3), (2, 0, 0, 1)))
     y = [[1, 0], [2, 1], [3, 4], [0, 2]]
 
-    def run():
+    def sweep():
         model = PoissonFactorModel(y)
         state = ChainState(W, np.ones((3, 2)), hp, (1.0, 1.0), RngStream(7, 0))
         sweep_once(state, model)
-        return state.W, state.Theta, state.hp, nbibp_simulate(3, hp, RngStream(7, 1))
+        return state.W, state.Theta, state.hp
 
-    tracer = spans.Tracer(nbibp)
-    try:
-        tracer.install()
-        tracer.active = True
-        traced = run()
-        tracer.active = False
-    finally:
-        tracer.uninstall()
-    stats = tracer.stats()
+    def simulate():
+        return nbibp_simulate(3, hp, RngStream(7, 1))
+
+    def traced(run):
+        tracer = spans.Tracer(nbibp)
+        try:
+            tracer.install()
+            tracer.active = True
+            out = run()
+            tracer.active = False
+        finally:
+            tracer.uninstall()
+        return out, tracer.stats()
+
+    swept, stats = traced(sweep)
     assert stats["inference.update_entry.calls"] == W.n
     assert stats["inference.update_singletons.calls"] == W.n
+    plain = sweep()
+    assert swept[0] == plain[0] and swept[2] == plain[2]
+    assert np.array_equal(swept[1], plain[1])
+    drawn, stats = traced(simulate)
     assert stats["generative.predictive_step.calls"] == 3
-    plain = run()
-    assert traced[0] == plain[0] and traced[2:] == plain[2:]
-    assert np.array_equal(traced[1], plain[1])
+    assert drawn.kappa > 0
+    assert stats["distributions.digamma_sample_rounds.calls"] == drawn.kappa
+    assert stats["distributions.digamma.rounds"] >= drawn.kappa
+    assert drawn == simulate()
 
 
 def test_traced_spans_have_no_negative_times():
