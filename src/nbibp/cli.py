@@ -27,6 +27,10 @@ replicate.
 
 The argument parser is built once per process, on the first main call, and
 reused by every later call; importing this module builds none.
+
+Importing this module loads numpy and, of scipy's subpackages, only
+scipy.special.  Only simulate --construction truncated and validate load
+scipy.integrate, for their quadratures, and no command loads scipy.stats.
 """
 
 import argparse

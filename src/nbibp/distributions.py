@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betaln
 
 from .numerics import harmonic_gap
@@ -61,6 +60,15 @@ class DigammaParams:
     def __post_init__(self):
         if not (0.0 < self.r < math.inf and 0.0 < self.theta < math.inf):
             raise ValueError(f"DigammaParams needs finite r, theta > 0, got {self!r}")
+
+    @classmethod
+    def _unchecked(cls, r, theta):
+        """The params of a finite r > 0 and theta > 0, built without
+        __post_init__: only for values derived from checked Hyperparams."""
+        params = object.__new__(cls)
+        object.__setattr__(params, "r", r)
+        object.__setattr__(params, "theta", theta)
+        return params
 
 
 @dataclass(frozen=True)
@@ -211,6 +219,8 @@ _HEAD_TERMS = 128
 
 
 def _quad_piece(f, a, b, what):
+    from scipy.integrate import quad  # imported on use: only the total-mass oracles integrate
+
     out = quad(f, a, b, epsabs=1e-14, epsrel=1e-12, limit=400, full_output=1)
     val, abserr = out[0], out[1]
     # QUADPACK's estimate is conservative by 2-3 orders on these integrands;

@@ -26,8 +26,6 @@ Three routes produce draws from the same law:
 import math
 from functools import lru_cache
 
-from scipy.integrate import quad
-
 from .distributions import (
     BnbParams,
     DigammaParams,
@@ -48,12 +46,13 @@ __all__ = [
 
 def _new_dishes(hp, m, rng):
     """Counts of the new dishes of the customer after m others, in draw order:
-    Poisson(c T [psi(c + (m+1) r) - psi(c + m r)])-many digamma(r, c + m r)."""
+    Poisson(c T [psi(c + (m+1) r) - psi(c + m r)])-many digamma(r, c + m r).
+    hp was checked where it entered, so the digamma params skip their check."""
     tail = hp.c + m * hp.r
     fresh = rng.poisson(hp.c * hp.T * harmonic_gap(hp.r, tail))
     if not fresh:
         return []
-    mass_law = DigammaParams(hp.r, tail)
+    mass_law = DigammaParams._unchecked(hp.r, tail)
     return [digamma_sample_rounds(mass_law, rng)[0] for _ in range(fresh)]
 
 
@@ -112,6 +111,8 @@ def bnbp_sample_finitary(hp, rng, fixed_atoms=()):
 def _weight_integrals(c, epsilon):
     """(I_low, I_high): integral of p^{-1} (1-p)^{c-1} over (eps, 1/2] and
     (max(eps, 1/2), 1)."""
+    from scipy.integrate import quad  # imported on use: only the truncated oracle integrates
+
     lo = max(epsilon, 0.5)
     out = quad(
         lambda p: 1.0 / p,

@@ -22,9 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln, psi
-from scipy.stats import chi2 as _chi2
+from scipy.special import chdtrc, gammaln, psi
 
 from .distributions import (
     BnbParams,
@@ -138,7 +136,7 @@ def gof_chi_square(counts, prob_of, reps):
         tail_exp = max((1.0 - covered) * reps, 1e-12)
         chi2 += (tail_obs - tail_exp) ** 2 / tail_exp
         dof += 1
-    return float(_chi2.sf(chi2, max(dof, 1))), cells, float(chi2)
+    return float(chdtrc(max(dof, 1), chi2)), cells, float(chi2)
 
 
 def _pooled_cells(counts_a, counts_b, min_pooled):
@@ -171,7 +169,7 @@ def two_sample_chi_square(counts_a, counts_b):
         eb = tot * nb / (na + nb)
         chi2 += (a - ea) ** 2 / ea + (b - eb) ** 2 / eb
     dof = max(len(cells) - 1, 1)
-    return float(_chi2.sf(chi2, dof)), len(cells), float(chi2)
+    return float(chdtrc(dof, chi2)), len(cells), float(chi2)
 
 
 def tail_aggregated_tv(counts_a, counts_b):
@@ -485,6 +483,7 @@ def suite_t_update(seed=0):
     integrates to the normalizer of Gamma(alpha + kappa, beta + c xi_n)
     relative to its value at T = 1, and update_mass_T draws exactly from that
     law on its stream."""
+    from scipy.integrate import quad  # imported on use, as in distributions._quad_piece
 
     def log_gamma(t, shape, rate):
         return shape * math.log(rate) - gammaln(shape) + (shape - 1.0) * math.log(t) - rate * t

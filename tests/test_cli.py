@@ -574,9 +574,16 @@ class TestParserReuse:
             assert len(built) == 6, argv  # the top parser and one per command, once
         capsys.readouterr()
 
-    def test_import_builds_no_parser(self):
+    def test_import_builds_no_parser(self, tmp_path):
+        # a fresh interpreter: importing nbibp.cli builds no parser and loads
+        # neither scipy.stats nor scipy.integrate, and of the commands only the
+        # truncated oracle (and validate, not run here) loads scipy.integrate;
+        # the truncated call shows that the check can fail
         code = """if True:
             import argparse
+            import contextlib
+            import io
+            import sys
             built = []
             init = argparse.ArgumentParser.__init__
 
@@ -584,11 +591,40 @@ class TestParserReuse:
                 built.append(kwargs.get("prog"))
                 init(self, *args, **kwargs)
 
+            def heavy():
+                loaded = {".".join(m.split(".")[:2]) for m in sys.modules}
+                return loaded & {"scipy.stats", "scipy.integrate"}
+
             argparse.ArgumentParser.__init__ = counting
             import nbibp.cli
             assert not built, built
+            assert heavy() == set(), heavy()
+
+            records = sys.argv[1]
+            with open(records, "w") as f:
+                f.write('{"kind": "array", "n": 2, "columns": [[1, 0], [2, 3]]}\\n')
+            for argv in (
+                ["simulate", "--n", "3", "--reps", "2", "--seed", "1"],
+                ["simulate", "--construction", "finitary", "--reps", "2", "--seed", "1"],
+                ["sample", "--dist", "digamma", "--reps", "3", "--seed", "1"],
+                ["sample", "--dist", "bnb", "--reps", "3", "--seed", "1"],
+                ["pmf", "--in", records],
+                ["infer", "--synthetic", "--n", "4", "--V", "3", "--sweeps", "3", "--seed", "7"],
+            ):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert nbibp.cli.main(argv) == 0, argv
+                assert heavy() == set(), (argv, heavy())
+
+            argv = ["simulate", "--construction", "truncated", "--n", "2", "--seed", "1"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert nbibp.cli.main(argv) == 0, argv
+            assert heavy() == {"scipy.integrate"}, heavy()
         """
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "in.jsonl")],
+            capture_output=True,
+            text=True,
+        )
         assert out.returncode == 0, out.stderr
 
     def test_usage_error_leaves_next_call_unchanged(self, capsys, fresh_parser):

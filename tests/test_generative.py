@@ -109,6 +109,21 @@ class TestBuffet:
         FeatureArray(1, ((1,),))
         assert checks == [1]
 
+    def test_new_dishes_run_no_digamma_check(self, monkeypatch):
+        # _new_dishes derives (r, c + m r) from a checked Hyperparams, so no
+        # DigammaParams.__post_init__ runs per opened dish; the check stays
+        # on the public constructor
+        checks = []
+        post_init = DigammaParams.__post_init__
+        monkeypatch.setattr(
+            DigammaParams, "__post_init__", lambda self: checks.append(1) or post_init(self)
+        )
+        drawn = nbibp_simulate(4, Hyperparams(1.0, 1.0, 3.0), RngStream(5, 0))
+        assert drawn.kappa and checks == []
+        with pytest.raises(ValueError):
+            DigammaParams(1.0, 0.0)
+        assert checks == [1]
+
     def test_feature_total_matches_harmonic_rate(self):
         # E[kappa after n rows] = c T (psi(c + n r) - psi(c))
         hp = Hyperparams(1.0, 1.0, 1.0)
