@@ -24,11 +24,11 @@ ChainState.W is the FeatureArray built from it on first read and kept until
 the next replacement.  The entry and singleton passes run on a writable copy
 of the matrix with its column sums, which becomes the state's matrix after
 both passes.  The two kernels work on that copy: update_entry refreshes one
-row's shared entries, computing the row's rates W_i Theta once, moving them
-in O(V) for a proposal that keeps its entry positive and keeping the rates of
-an accepted one; update_singletons runs one row's birth/death move on the
-rest, with the buffet's new dishes (generative._new_dishes) as its births,
-and scores the proposed row before it builds the proposed matrix.
+row's shared entries, drawing all of the row's proposals first and scoring
+them as one block of candidate rows, one product with Theta for the block;
+update_singletons runs one row's birth/death move on the rest, with the
+buffet's new dishes (generative._new_dishes) as its births, and scores the
+proposed row before it builds the proposed matrix.
 sweep_once calls each once per row.  update_theta writes its (n, V, kappa)
 weights into a workspace the state keeps and splits every cell in one
 multinomial call, in which a zero count takes no draw.
@@ -107,13 +107,16 @@ class PoissonFactorModel:
         self.y, self._log_fact, (self.n, self.V) = y, gammaln(y + 1.0), y.shape
 
     def row_loglik(self, i, rates):
-        """log p(y_i | rates); xlogy makes it -inf where a zero rate meets a positive count."""
+        """log p(y_i | rates): a float for one row of rates, or a list of
+        floats, one per row, for a (k, V) block of candidate rows.  xlogy
+        makes it -inf where a zero rate meets a positive count."""
         if self.y is None:
-            return 0.0
+            return np.zeros(np.shape(rates)[:-1]).tolist()
         out = xlogy(self.y[i], rates)
         out -= rates
         out -= self._log_fact[i]
-        return float(np.add.reduce(out))
+        total = np.add.reduce(out, -1)
+        return total.tolist() if total.ndim else float(total)
 
     def loglik(self, w_mat, theta):
         """log p(y | W Theta): row_loglik's expression over every row at once."""
@@ -256,14 +259,15 @@ def _gamma_factors(rng, shape, rate, size=None):
     return np.maximum(rng.gamma(shape, 1.0 / rate, size), math.ulp(0.0))
 
 
-def _accept(delta_new, delta_old, rng):
-    """MH accept/reject on a log-likelihood pair, tolerating -inf states."""
+def _accept(delta_new, delta_old, uniform):
+    """MH accept/reject on a log-likelihood pair, tolerating -inf states;
+    uniform() gives the uniform, and is called only for a ratio below one."""
     if delta_new == -math.inf:
         return False
     if delta_old == -math.inf:
         return True
     d = delta_new - delta_old
-    return d >= 0.0 or rng.random() < math.exp(d)
+    return d >= 0.0 or uniform() < math.exp(d)
 
 
 def update_entry(state, model, M, sums, i):
@@ -273,36 +277,45 @@ def update_entry(state, model, M, sums, i):
 
     Each proposal is the exact conditional of its entry under the array prior
     given everything else, so the acceptance ratio is the likelihood ratio
-    alone.  A proposal is scored on the row rates plus (prop - old) Theta_j,
-    or on a fresh mat-vec if it zeroes its entry, so an unsupported rate
-    reads 0.  A proposal that would carry its column sum to 2**63, past
-    int64, is rejected without a draw, like an impossible one.
+    alone.  The entry's conditional depends on its column alone, so the
+    kernel first draws every proposal of the row in column order.  A
+    proposal that differs from its entry is scored; one that would carry its
+    column sum to 2**63, past int64, is rejected without a draw, like an
+    impossible one.  With data, each scored proposal's uniform is drawn right
+    after it; a flat model accepts every proposal and draws none.
+
+    The scored proposals are then decided in order against one block of
+    candidate rows: the row as it stands, then the row with each proposal's
+    entry set.  The block takes one product with Theta and one row_loglik
+    call, and is rebuilt for the proposals that follow an accept.  Every
+    candidate's rates come from a fresh product, so an unsupported rate
+    reads exactly 0.
     """
     hp, rng, theta = state.hp, state.rng, state.Theta
-    r, beta = hp.r, rng.beta
+    r, beta, data = hp.r, rng.beta, model.y is not None
     tail = hp.c + (M.shape[0] - 1) * r
     row = M[i]
-    rates, moved = None, False
     cols = (sums > row).nonzero()[0]
     olds = row[cols]
+    scored = []
     for j, old, rest in zip(cols.tolist(), olds.tolist(), (sums[cols] - olds).tolist()):
         prop = _nb_draw(r, beta(rest, tail), rng)
         if prop == old or (prop > old and rest + prop >= 2**63):
             continue
-        if rates is None:
-            rates = row.astype(np.float64) @ theta
-            ll = model.row_loglik(i, rates)
-        if prop:
-            new_rates = rates + (prop - old) * theta[j]
-        else:  # exact zeros where no expressed feature has a positive factor
-            w = row.astype(np.float64)
-            w[j] = 0.0
-            new_rates = w @ theta
-        new_ll = model.row_loglik(i, new_rates)
-        if _accept(new_ll, ll, rng):
+        scored.append((j, prop, old, rng.random() if data else None))
+    moved, lls = False, None
+    for k, (j, prop, old, u) in enumerate(scored):
+        if lls is None:  # the row as it stands, then proposals k onward
+            block = np.empty((len(scored) - k + 1, row.size))
+            block[:] = row
+            for t, (jt, pt, _, _) in enumerate(scored[k:], 1):
+                block[t, jt] = pt
+            ll, *lls = model.row_loglik(i, block @ theta)
+            lls = iter(lls)
+        if _accept(next(lls), ll, lambda: u):
             row[j] = prop
             sums[j] += prop - old
-            rates, ll, moved = new_rates, new_ll, True
+            moved, lls = True, None
     return moved
 
 
@@ -334,7 +347,7 @@ def update_singletons(state, model, M, sums, i):
         slots = rng.choice(keep.size + born, size=born, replace=False)
         born_theta = _gamma_factors(rng, model.a_theta, model.b_theta, (born, model.V))
         rates = np.array(masses, dtype=np.float64) @ born_theta + rates
-    if not _accept(model.row_loglik(i, rates), model.row_loglik(i, w @ theta), rng):
+    if not _accept(model.row_loglik(i, rates), model.row_loglik(i, w @ theta), rng.random):
         return None
     fresh = np.zeros(keep.size + born, dtype=bool)
     new_M = np.zeros((n, fresh.size), dtype=np.int64)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import lognorm, poisson
 
@@ -84,8 +85,10 @@ def move(kernel, state, model, *args):
 
 def entry_reference(state, model, M, sums, i, j):
     """The per-entry move that update_entry's row pass replaces, kept as its
-    oracle: both row log-likelihoods come from a fresh mat-vec at every
-    proposal that differs from its entry.  True on accept."""
+    oracle.  It draws in the kernel's order: the proposal, then, if it
+    differs from its entry and the model has data, its uniform.  Both row
+    log-likelihoods come from a fresh mat-vec at every such proposal, and the
+    move is decided at once.  True on accept."""
     hp = state.hp
     old = M[i, j]
     prop = bnb_sample(
@@ -93,13 +96,14 @@ def entry_reference(state, model, M, sums, i, j):
     )
     if prop == old:
         return False
+    u = state.rng.random() if model.y is not None else None
     w_old = M[i].astype(np.float64)
     w_new = w_old.copy()
     w_new[j] = prop
     if not _accept(
         model.row_loglik(i, w_new @ state.Theta),
         model.row_loglik(i, w_old @ state.Theta),
-        state.rng,
+        lambda: u,
     ):
         return False
     M[i, j] = prop
@@ -137,8 +141,8 @@ def planted_state(n, V, K, seed, hp=Hyperparams(1.0, 1.0, 2.0)):
 def emptying_state():
     """A planted n=40 state whose row 0 holds one count and expresses two
     shared columns, the first with a small factor row.  On this seed the
-    entry pass drops the first column and then proposes to empty the row,
-    after an accept has left rounding residue in the row's cached rates."""
+    entry pass drops the first column and then proposes to empty the row, a
+    candidate of the block rebuilt after that accept."""
     state, model = planted_state(40, 15, 8, 11)
     M, y, theta = state.W.to_matrix(), model.y.copy(), state.Theta.copy()
     M[0] = 0
@@ -154,9 +158,9 @@ def dead_cell_state():
     """A planted n=40 state whose row 0 holds one count, at v=0, and expresses
     three shared columns; the third has Theta_{2,0} = 0, set by hand after
     construction, since ChainState refuses a zero factor and _gamma_factors
-    floors a draw that underflows.  On this seed the entry pass drops the
-    first column and proposes to drop the second while the third keeps the
-    row nonempty, so the rate under the count must read exactly zero."""
+    floors a draw that underflows.  On stream seed 1 the entry pass drops
+    the first column and proposes to drop the second while the third keeps
+    the row nonempty, so the rate under the count must read exactly zero."""
     state, model = planted_state(40, 15, 8, 6)
     M, y = state.W.to_matrix(), model.y.copy()
     M[0] = 0
@@ -164,7 +168,7 @@ def dead_cell_state():
     y[0] = 0
     y[0, 0] = 1
     W = FeatureArray.from_matrix(M)
-    state = ChainState(W, state.Theta.copy(), state.hp, (1.0, 1.0), RngStream(6, 0))
+    state = ChainState(W, state.Theta.copy(), state.hp, (1.0, 1.0), RngStream(1, 0))
     state.Theta[2:, 0] = 0.0
     return state, PoissonFactorModel(y)
 
@@ -236,6 +240,31 @@ class TestModel:
             dead = rates[i].copy()
             dead[1] = 0.0
             assert m.row_loglik(i, dead) == -math.inf
+
+    @pytest.mark.parametrize("V", [5, 300])
+    def test_block_rows_match_one_row_calls(self, V):
+        # each row of a (k, V) block of rates scores bit for bit as its own
+        # call, with a zero rate under a positive count reading -inf and a
+        # zero rate under a zero count adding nothing
+        g = np.random.default_rng(V)
+        y = g.poisson(2.0, (2, V))
+        y[0, :2] = 3, 0
+        y[1] = 0
+        rates = g.gamma(1.0, 1.0, (6, V))
+        rates[1, 0] = 0.0
+        rates[2, 1] = 0.0
+        rates[3] = 0.0
+        m = PoissonFactorModel(y)
+        for i in range(2):
+            block = m.row_loglik(i, rates)
+            assert block == [m.row_loglik(i, row) for row in rates]
+            assert all(type(v) is float for v in block)
+        assert m.row_loglik(0, rates)[1] == -math.inf
+        without = rates[2].copy()
+        without[1] = 1.0
+        assert m.row_loglik(0, rates)[2] - m.row_loglik(0, without) == pytest.approx(1.0)
+        assert m.row_loglik(1, rates)[3] == 0.0
+        assert PoissonFactorModel(n=2, V=V).row_loglik(0, rates) == [0.0] * 6
 
     def test_loglik_sums_rows(self):
         g = np.random.default_rng(13)
@@ -457,6 +486,43 @@ class TestEntryKernel:
                 )
                 assert abs(flux_a - flux_b) < 4.0 * se + 1e-12, (z, zp)
 
+    def test_accept_mid_row_keeps_the_two_entry_law(self):
+        # row 1 expresses two shared entries under one count of 4 with unit
+        # factors; their exact target is pi(z1, z2), proportional to
+        # BNB(z1; 1, 2, 4) BNB(z2; 1, 1, 4) Poisson(4 | z1 + z2), enumerated
+        # on [0, 60]^2.  Starts drawn from pi end one row pass in pi.  About a
+        # fifth of the passes accept the first proposal, so a kernel that
+        # scored the second against the row from before that accept fails
+        hp = Hyperparams(1.0, 3.0, 1.0)
+        model = PoissonFactorModel([[3], [4]])
+        Z, reps = 60, 10_000
+        z = np.arange(Z + 1)
+        log_prior = [
+            np.array([bnb_log_pmf(BnbParams(1.0, rest, 4.0), k) for k in z.tolist()])
+            for rest in (2.0, 1.0)
+        ]
+        lam = (z[:, None] + z[None, :]).astype(np.float64)
+        log_target = log_prior[0][:, None] + log_prior[1][None, :] + xlogy(4, lam) - lam
+        top = log_target.max()
+        pi = np.exp(log_target - top)
+        # off the grid z1 + z2 > 60, where the likelihood term is at most its
+        # value at 61 and the prior mass at most 1: the truncated share is
+        # below that over the enumerated mass
+        assert math.exp(4 * math.log(Z + 1) - (Z + 1) - top) / pi.sum() < 1e-12
+        pi /= pi.sum()
+        starts = np.random.default_rng(303).choice(pi.size, size=reps, p=pi.ravel())
+        state = ChainState(
+            FeatureArray(2, ((2, 1), (1, 1))), np.ones((2, 1)), hp, (1.0, 1.0), RngStream(303, 0)
+        )
+        seen = Counter()
+        for start in starts.tolist():
+            M = np.array([[2, 1], divmod(start, Z + 1)], dtype=np.int64)
+            update_entry(state, model, M, M.sum(axis=0), 1)
+            seen[tuple(M[1].tolist())] += 1
+        p, cells, _ = gof_chi_square(seen, lambda k: pi[k] if max(k) <= Z else 0.0, reps)
+        assert cells >= 20
+        assert p > 1e-3
+
     @pytest.mark.parametrize(
         "size, seed",
         [((40, 15, 8), 134), ((40, 15, 8), 135), ((40, 15, 8), 136), ((100, 50, 16), 137)],
@@ -471,11 +537,10 @@ class TestEntryKernel:
         assert state.rng.random() == twin.rng.random()  # same stream position
 
     def test_emptied_row_scores_on_zero_rates(self):
-        # scored from cached rates, a proposal that leaves row 0 no positive
-        # rate under its count (by emptying the row, or by dropping the last
-        # feature with a positive factor there) would see rounding residue,
-        # read a finite log-likelihood and draw a uniform the reference
-        # never draws
+        # the candidate row that leaves row 0 no positive rate under its
+        # count (by emptying the row, or by dropping the last feature with a
+        # positive factor there) must read exactly 0 there in its block and
+        # score -inf; rounding residue would read a finite log-likelihood
         for make in (emptying_state, dead_cell_state):
             state, model = make()
             twin, _ = make()
@@ -484,13 +549,14 @@ class TestEntryKernel:
 
             def watched(i, rates):
                 out = row_loglik(i, rates)
-                if i == 0 and rates[0] == 0.0:
-                    dead.append(out)
+                if i == 0:
+                    dead.extend(ll for cand, ll in zip(rates, out) if cand[0] == 0.0)
                 return out
 
             model.row_loglik = watched
             got = entry_pass(state, model)
             assert dead == [-math.inf], make.__name__
+            del model.row_loglik
             want = entry_pass(twin, model, reference=True)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             assert state.rng.random() == twin.rng.random()

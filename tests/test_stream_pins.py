@@ -29,9 +29,9 @@ from nbibp.inference import (
 from nbibp.numerics import RngStream
 from nbibp.structures import FeatureArray, Hyperparams
 
-RUN_CHAIN_SHA256 = "d21611504792bd08048563bb15ccfb90480f7dc8cda68d69b82f89731dbd922f"
-GEWEKE_LOOP_SHA256 = "26ed630769ee27134443245e29bb72d85367060579b89b1127121b63f32c3e5f"
-INFER_FULL_SHA256 = "e8d412537c650af4cd2811343d842c4d9310420ae70e59394959f0788131f9f1"
+RUN_CHAIN_SHA256 = "404e89f37923012b6d9d7a1ed18d5aa6e0b88bc801253c92e57bd4266b97b685"
+GEWEKE_LOOP_SHA256 = "ee292c8ddcd8bc3ddbcab096dd8298bb076094f07d1ea33d8d6a24f68e179d16"
+INFER_FULL_SHA256 = "4205642753feb0a0a0afe4e32edac5216c7472c98bd003e8ea10688cd90ee1bc"
 SIMULATE_SHA256 = "049e43bc035188a3273ca3e90763fe5b2eca456f4814e2fa0a968cbb1e54f150"
 FINITARY_SHA256 = "f968b048f6346bef9cdc63b5e349fc0f3c7d14241a5a3e54718e5984f8977b0e"
 TRUNCATED_SHA256 = "3a733207f7df4873df3b5bf8ee1d079a936af9c72e7292ccc8a4eedc6be671fe"
