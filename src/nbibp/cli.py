@@ -201,6 +201,9 @@ def _load_counts(path):
         obj = None
     y = obj.get("y") if isinstance(obj, dict) else obj
     if isinstance(y, list):  # JSON; a 1x1 whitespace file also parses, as a number
+        # numpy would read true and false as the counts 1 and 0
+        if any(v is True or v is False for row in y if isinstance(row, list) for v in row):
+            raise ValueError(f"{path}: counts must be integers, not true or false")
         return y
     rows = [
         [int(tok) for tok in ln.split()] for ln in text.splitlines() if ln.strip()
@@ -223,9 +226,9 @@ def cmd_infer(args):
         y = resample_counts(gen, template, rng).y
         truth = {
             "kind": "truth",
-            "W": [list(col) for col in gen.W.columns],
-            "Theta": [[float(x) for x in row] for row in gen.Theta],
-            "y": [[int(v) for v in row] for row in y],
+            "W": gen.counts.T.tolist(),
+            "Theta": gen.Theta.tolist(),
+            "y": y.tolist(),
         }
     else:
         y = _load_counts(args.in_path)

@@ -17,10 +17,14 @@ Three routes produce draws from the same law:
   buffet row's new dishes and the MCMC singleton births.
 * truncated_oracle_simulate: a deliberately independent hierarchical oracle
   that first realizes the underlying weight measure down to weights > epsilon
-  and then draws NB counts per atom.  It shares no distributional code path
-  with the buffet route, which is what makes agreement between the two an
-  informative check.  Truncation bias: a feature is missed when its weight
-  falls below epsilon, an event of total expected count about c T n r epsilon.
+  and then draws NB counts per atom.  It reaches the counts through the
+  weights, where the buffet integrates them out, which is what makes
+  agreement between the two an informative check.  Both draw their NB counts
+  through distributions._nb_draw, though, so a defect there would not show
+  as disagreement in two-construction; simulator-pmf, which checks the
+  buffet against the exact p.m.f., would catch it.  Truncation bias: a
+  feature is missed when its weight falls below epsilon, an event of total
+  expected count about c T n r epsilon.
 """
 
 import math

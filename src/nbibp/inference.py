@@ -19,16 +19,20 @@ any possible proposal from it, and the Theta draw leaves such counts unsplit,
 so a chain started there moves on instead of failing.
 
 The chain holds W as one read-only int64 n-by-kappa count matrix,
-ChainState.counts; a sweep replaces it rather than changing it in place, and
-ChainState.W is the FeatureArray built from it on first read and kept until
-the next replacement.  The entry and singleton passes run on a writable copy
+ChainState.counts; a sweep replaces it rather than changing it in place.
+Every reader in this module goes through the counts: the kernels, log_joint
+(whose array term takes the c/r moves' route, _log_pmf_of on the columns)
+and chain_record.  ChainState.W, the FeatureArray built from the counts on
+first read and kept until the next replacement, serves callers that want
+the array view.  The entry and singleton passes run on a writable copy
 of the matrix with its column sums, which becomes the state's matrix after
 both passes.  The two kernels work on that copy: update_entry refreshes one
 row's shared entries, drawing all of the row's proposals first and scoring
 them as one block of candidate rows, one product with Theta for the block;
 update_singletons runs one row's birth/death move on the rest, with the
 buffet's new dishes (generative._new_dishes) as its births, and scores the
-proposed row before it builds the proposed matrix.
+proposed and the current row as a block of two before it builds the
+proposed matrix.  Both kernels score through row_loglik's one block form.
 sweep_once calls each once per row.  update_theta writes its (n, V, kappa)
 weights into a workspace the state keeps and splits every cell in one
 multinomial call, in which a zero count takes no draw.
@@ -48,7 +52,7 @@ from scipy.special import gammaln, xlogy
 from .distributions import _nb_draw
 from .generative import _new_dishes, nbibp_simulate
 from .numerics import harmonic_gap
-from .structures import FeatureArray, Hyperparams, _log_pmf_of, log_pmf_array
+from .structures import FeatureArray, Hyperparams, _log_pmf_of
 
 __all__ = [
     "PoissonFactorModel",
@@ -107,16 +111,15 @@ class PoissonFactorModel:
         self.y, self._log_fact, (self.n, self.V) = y, gammaln(y + 1.0), y.shape
 
     def row_loglik(self, i, rates):
-        """log p(y_i | rates): a float for one row of rates, or a list of
-        floats, one per row, for a (k, V) block of candidate rows.  xlogy
+        """log p(y_i | rates) for each row of a (k, V) block of candidate
+        rows, as a list of floats (one row of rates gives one float).  xlogy
         makes it -inf where a zero rate meets a positive count."""
         if self.y is None:
             return np.zeros(np.shape(rates)[:-1]).tolist()
         out = xlogy(self.y[i], rates)
         out -= rates
         out -= self._log_fact[i]
-        total = np.add.reduce(out, -1)
-        return total.tolist() if total.ndim else float(total)
+        return np.add.reduce(out, -1).tolist()
 
     def loglik(self, w_mat, theta):
         """log p(y | W Theta): row_loglik's expression over every row at once."""
@@ -177,7 +180,10 @@ class ChainState:
         read-only counts and their FeatureArray, and owns a copy of Theta
         and an empty workspace."""
         twin = copy.copy(self)
-        twin._W = self.W  # built once, for this state too
+        # built here, between sweeps, for both states: the benchmark's span
+        # tracer reads the live state's W inside kernel spans, where a build
+        # would open its spans before the kernel's clock starts
+        twin._W = self.W
         twin.Theta, twin._weights = self.Theta.copy(), np.empty(0)
         return twin
 
@@ -239,10 +245,13 @@ def _check_fit(state, model):
 
 
 def log_joint(state, model):
-    """log p(y, W, Theta | T, c, r); -inf when the data is impossible, and
-    ValueError for a state that does not fit the model."""
+    """log p(y, W, Theta | T, c, r), read from the count matrix: its array
+    p.m.f. through the route update_c_r takes, the factor prior and the
+    likelihood.  -inf when the data is impossible, and ValueError for a
+    state that does not fit the model."""
     _check_fit(state, model)
-    lp = log_pmf_array(state.W, state.hp)
+    counts, hp = state.counts, state.hp
+    lp = _log_pmf_of(counts.shape[0], ((col, 1) for col in counts.T.tolist()))(hp.r, hp.c, hp.T)
     th, a, b = state.Theta, model.a_theta, model.b_theta
     lp += float(
         np.sum((a - 1.0) * np.log(th) - b * th) + th.size * (a * math.log(b) - gammaln(a))
@@ -327,10 +336,11 @@ def update_singletons(state, model, M, sums, i):
     Proposes dropping every column only row i expresses and birthing the
     dishes the last of n buffet customers opens, _new_dishes(hp, n - 1), at
     uniform slots with factor rows from the prior; prior and proposal terms
-    cancel, leaving the likelihood ratio of row i, which is scored before
-    the proposed matrix is built.  With no birth and nothing private the
-    proposal is the current state, which is accepted without a draw, so the
-    move returns at once.
+    cancel, leaving the likelihood ratio of row i.  The proposed and the
+    current row are scored as one (2, V) block of rates, one row_loglik
+    call, before the proposed matrix is built.  With no birth and nothing
+    private the proposal is the current state, which is accepted without a
+    draw, so the move returns at once.
     """
     hp, rng, theta = state.hp, state.rng, state.Theta
     n = M.shape[0]
@@ -342,12 +352,14 @@ def update_singletons(state, model, M, sums, i):
         return None
     keep = (~private).nonzero()[0]
     w = row.astype(np.float64)
-    rates = w[keep] @ theta[keep]
+    block = np.empty((2, model.V))  # the proposed row's rates, then the current row's
+    block[0] = w[keep] @ theta[keep]
+    block[1] = w @ theta
     if born:  # choice(k, size=0) takes no draw, but costs about as much as one
         slots = rng.choice(keep.size + born, size=born, replace=False)
         born_theta = _gamma_factors(rng, model.a_theta, model.b_theta, (born, model.V))
-        rates = np.array(masses, dtype=np.float64) @ born_theta + rates
-    if not _accept(model.row_loglik(i, rates), model.row_loglik(i, w @ theta), rng.random):
+        block[0] += np.array(masses, dtype=np.float64) @ born_theta
+    if not _accept(*model.row_loglik(i, block), rng.random):
         return None
     fresh = np.zeros(keep.size + born, dtype=bool)
     new_M = np.zeros((n, fresh.size), dtype=np.int64)
@@ -447,7 +459,8 @@ def update_c_r(state, c_prior=HyperPrior(), r_prior=HyperPrior()):
     A prior of None pins its parameter and skips the move.
     """
     r, c, T = state.hp.r, state.hp.c, state.hp.T
-    log_pmf = _log_pmf_of(state.counts.shape[0], state.counts.T.tolist())
+    counts = state.counts
+    log_pmf = _log_pmf_of(counts.shape[0], ((col, 1) for col in counts.T.tolist()))
     if c_prior is not None:
         c = _slice_update(c, lambda x: c_prior.log_density(x) + log_pmf(r, x, T), state.rng)
     if r_prior is not None:
@@ -543,6 +556,6 @@ def chain_record(state, sweep, model, full=False):
         "log_joint": lj if math.isfinite(lj) else None,
     }
     if full:
-        rec["W"] = [list(col) for col in state.W.columns]
-        rec["Theta"] = [[float(x) for x in row] for row in state.Theta]
+        rec["W"] = state.counts.T.tolist()
+        rec["Theta"] = state.Theta.tolist()
     return rec

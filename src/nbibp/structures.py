@@ -184,27 +184,37 @@ def project(struct, n):
     return CombStruct(n, dict(out))
 
 
-def _log_pmf_of(n, columns):
-    """(r, c, T) -> log p.m.f. of the ordered n-row array with these columns.
+def _log_pmf_of(n, pairs):
+    """(r, c, T) -> log p.m.f. of an n-row array given as (column,
+    multiplicity) pairs, each column standing for that many equal columns.
 
     The p.m.f. depends on the array only through n, its column sums and the
-    counts of its distinct nonzero entry values, so these are taken once and
-    each call costs O(kappa + distinct values).  Each column contributes its
+    counts of its distinct nonzero entry values.  These are taken once, in
+    one pass over the given columns whatever their multiplicities, and each
+    call costs O(pairs + distinct values).  Each column contributes its
     clustering weight under concentration c + n r, log B(s, c + n r) for its
     sum s, and each nonzero entry w adds log (r)_w / w!, in the log-beta
-    form the NB and BNB laws share.  The feature count is Poisson with rate
-    c T harmonic_gap(n r, c).
+    form the NB and BNB laws share.  The feature count kappa, the sum of the
+    multiplicities, is Poisson with rate c T harmonic_gap(n r, c).
     """
-    sums = np.array([float(sum(col)) for col in columns])
-    hist = sorted(Counter(w for col in columns for w in col if w).items())
-    values, counts = np.array(hist, dtype=np.float64).reshape(-1, 2).T
+    sums, mults, hist = [], [], Counter()
+    for col, m in pairs:
+        sums.append(float(sum(col)))
+        mults.append(m)
+        if m == 1:  # an array's columns: counted in C
+            hist.update(filter(None, col))
+        else:
+            for w in filter(None, col):
+                hist[w] += m
+    kappa, sums, mults = sum(mults), np.array(sums), np.array(mults, dtype=np.float64)
+    values, counts = np.array(sorted(hist.items()), dtype=np.float64).reshape(-1, 2).T
 
     def log_pmf(r, c, T):
         cnr = c + n * r
         rate = c * T * harmonic_gap(n * r, c)
         # log c + log T, since c T can underflow to 0.0 where neither factor does
-        out = sums.size * (math.log(c) + math.log(T)) - math.lgamma(sums.size + 1) - rate
-        out += float(np.sum(betaln(sums, cnr)))
+        out = kappa * (math.log(c) + math.log(T)) - math.lgamma(kappa + 1) - rate
+        out += float(np.sum(mults * betaln(sums, cnr)))
         return out + float(counts @ _log_rising_over_factorial(r, values))
 
     return log_pmf
@@ -212,9 +222,9 @@ def _log_pmf_of(n, columns):
 
 def log_pmf_struct(struct, hp):
     """Exact log probability of a combinatorial structure after n rows: the
-    array p.m.f. of any of its orderings plus the log ordering count."""
-    cols = [h for h, m in struct.counts.items() for _ in range(m)]
-    return _log_pmf_of(struct.n, cols)(hp.r, hp.c, hp.T) + ordering_count(struct)
+    array p.m.f. of any of its orderings plus the log ordering count, each
+    distinct history taken once with its multiplicity."""
+    return _log_pmf_of(struct.n, struct.counts.items())(hp.r, hp.c, hp.T) + ordering_count(struct)
 
 
 def log_pmf_array(arr, hp):
@@ -223,7 +233,7 @@ def log_pmf_array(arr, hp):
     Depends on the array only through n, its column sums and its entry
     histogram, so it is invariant to column order.
     """
-    return _log_pmf_of(arr.n, arr.columns)(hp.r, hp.c, hp.T)
+    return _log_pmf_of(arr.n, ((col, 1) for col in arr.columns))(hp.r, hp.c, hp.T)
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,11 @@ class TestErrorBoundary:
         good.write_text("1 0\n2 1\n")
         ragged = tmp_path / "ragged.txt"
         ragged.write_text("1 0\n2\n")
+        # numpy reads JSON true and false as counts, in a mixed list and alone
+        mixed_bools = tmp_path / "mixed_bools.json"
+        mixed_bools.write_text('{"y": [[true, false], [1, 2]]}')
+        lone_bool = tmp_path / "lone_bool.json"
+        lone_bool.write_text("[[true]]")
         missing = str(tmp_path / "missing.txt")
         bad = [
             ["simulate", "--reps", "-1", "--seed", "1"],
@@ -343,6 +348,8 @@ class TestErrorBoundary:
             ["infer", "--in", str(good), "--synthetic", "--seed", "1"],
             ["infer", "--in", missing, "--seed", "1"],
             ["infer", "--in", str(ragged), "--seed", "1"],
+            ["infer", "--in", str(mixed_bools), "--seed", "1"],
+            ["infer", "--in", str(lone_bool), "--seed", "1"],
             ["infer", "--synthetic", "--sweeps", "-1", "--seed", "1"],
             ["infer", "--synthetic", "--thin", "0", "--seed", "1"],
             ["infer", "--synthetic", "--n", "0", "--seed", "1"],

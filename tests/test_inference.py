@@ -852,9 +852,11 @@ class TestSweepStructure:
         assert state.W is W
         assert calls["array"] == 1
 
-    def test_entry_pass_scores_each_differing_proposal_once(self, monkeypatch):
+    def test_entry_pass_scores_once_per_row_and_accept(self, monkeypatch):
         # the reference scores a differing proposal with two row_loglik
-        # calls; the row kernel needs one, plus one for the row's own rates
+        # calls; the row kernel makes one per row that scores anything, plus
+        # at most one per accept, which rebuilds the block for the proposals
+        # that follow it
         state, model = planted_state(40, 15, 8, 134)
         twin, _ = planted_state(40, 15, 8, 134)
         calls = Counter()
@@ -882,6 +884,68 @@ class TestSweepStructure:
         assert calls["rows"] == model.n
         assert differing > model.n  # two calls per proposal would break the bound
         assert calls["entry"] <= model.n + differing
+
+    def test_singleton_move_scores_one_block(self, monkeypatch):
+        # a move past the early return (a birth drawn, or a private column to
+        # drop) scores the proposed and the current row with one row_loglik
+        # call on a (2, V) block; on this seed births and deaths are both
+        # proposed and accepted
+        state, model = planted_state(12, 5, 4, 139, Hyperparams(1.0, 1.0, 6.0))
+        shapes, born, seen = [], [], Counter()
+        row_loglik, new_dishes, update = model.row_loglik, inference._new_dishes, update_singletons
+
+        def drawn_new_dishes(hp, m, rng):
+            masses = new_dishes(hp, m, rng)
+            born.append(len(masses))
+            return masses
+
+        def counted_update(st, mdl, M, sums, i):
+            private = bool(((M[i] > 0) & (sums == M[i])).any())
+            shapes.clear()  # the entry pass scores through row_loglik too
+            out = update(st, mdl, M, sums, i)
+            scored = born[-1] > 0 or private
+            assert shapes == ([(2, model.V)] if scored else []), (born[-1], private)
+            seen["birth", out is not None] += born[-1] > 0
+            seen["death", out is not None] += private
+            return out
+
+        def counted_row_loglik(i, rates):
+            shapes.append(np.shape(rates))
+            return row_loglik(i, rates)
+
+        monkeypatch.setattr(model, "row_loglik", counted_row_loglik)
+        monkeypatch.setattr(inference, "_new_dishes", drawn_new_dishes)
+        monkeypatch.setattr(inference, "update_singletons", counted_update)
+        for _ in range(10):
+            sweep_once(state, model, ChainConfig())
+        assert len(born) == 10 * model.n
+        assert all(seen[kind, True] > 0 for kind in ("birth", "death")), seen
+
+    def test_log_joint_and_full_record_build_no_array(self, monkeypatch):
+        # both read the count matrix of a state fresh from a sweep; W is
+        # built on its first read after them, and equals the record's W
+        state, model = planted_state(40, 15, 8, 134)
+        sweep_once(state, model, ChainConfig())
+        builds = Counter()
+        post_init, unchecked = FeatureArray.__post_init__, FeatureArray._unchecked.__func__
+
+        def counted_post_init(self):
+            builds["array"] += 1
+            post_init(self)
+
+        def counted_unchecked(cls, n, columns):
+            builds["array"] += 1
+            return unchecked(cls, n, columns)
+
+        monkeypatch.setattr(FeatureArray, "__post_init__", counted_post_init)
+        monkeypatch.setattr(FeatureArray, "_unchecked", classmethod(counted_unchecked))
+        lj = log_joint(state, model)
+        rec = chain_record(state, 1, model, full=True)
+        assert builds["array"] == 0
+        assert math.isfinite(lj) and rec["log_joint"] == lj
+        assert rec["W"] == [list(col) for col in state.W.columns]
+        assert rec["Theta"] == state.Theta.tolist()
+        assert builds["array"] == 1
 
 
 class TestMassKernel:

@@ -251,3 +251,18 @@ def test_no_unused_imports():
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         }
         assert bound - loaded == set(), path.name
+
+
+def test_chain_array_read_only_through_counts():
+    # the chain's array is its count matrix; the FeatureArray view W stays
+    # for the benchmark, which reads it, and inside the package only the
+    # state itself and run_chain, which copies its init, read it
+    allowed = {"inference.ChainState", "inference.run_chain"}
+    readers = set()
+    for path in sorted((ROOT / "src" / "nbibp").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            name = getattr(top, "name", None)
+            if any(isinstance(node, ast.Attribute) and node.attr == "W" for node in ast.walk(top)):
+                readers.add(f"{path.stem}.{name}")
+    assert "inference.run_chain" in readers  # the walk sees the reads it allows
+    assert readers - allowed == set()

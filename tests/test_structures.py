@@ -1,13 +1,14 @@
 import itertools
 import json
 import math
+import time
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import psi
+from scipy.special import betaln, psi
 
 from nbibp.distributions import (
     BnbParams,
@@ -173,6 +174,30 @@ class TestPmfFrozenValues:
         got = log_pmf_struct(CombStruct(2, {}), hp)
         # minus c T (psi(c + 2r) - psi(c)) = -(1 + 1/2)
         assert got == pytest.approx(-1.5, rel=1e-13)
+
+    def test_struct_scored_on_distinct_histories(self):
+        # one history of multiplicity m is scored once, not as m columns:
+        # at m = 10**12 the value is the closed form
+        # m (log c + log T + log B(1, c + r) + log r) - c T psi_gap - log m!,
+        # and at small m it equals the expanded array's value
+        r, c, T = 0.7, 1.3, 2.5
+        hp = Hyperparams(r, c, T)
+
+        def closed(m):
+            per_column = (
+                math.log(c) + math.log(T) + betaln(1, c + r) - math.log(1 + r) - betaln(r, 2)
+            )
+            return m * per_column - c * T * (psi(c + r) - psi(c)) - math.lgamma(m + 1)
+
+        for m in (1, 2, 5):
+            struct = CombStruct(1, {(1,): m})
+            expanded = log_pmf_array(FeatureArray(1, ((1,),) * m), hp) + ordering_count(struct)
+            assert log_pmf_struct(struct, hp) == pytest.approx(expanded, rel=1e-12)
+            assert log_pmf_struct(struct, hp) == pytest.approx(closed(m), rel=1e-12)
+        start = time.perf_counter()
+        got = log_pmf_struct(CombStruct(1, {(1,): 10**12}), hp)
+        assert time.perf_counter() - start < 0.5
+        assert got == pytest.approx(closed(10**12), rel=1e-12)
 
     def test_struct_equals_array_plus_orderings(self):
         hp = Hyperparams(1.3, 0.8, 2.0)
