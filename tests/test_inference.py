@@ -985,6 +985,43 @@ class TestMassKernel:
         assert lifted > 0
 
 
+class TestGammaFactors:
+    """_gamma_factors draws the values of numpy's gamma at scale 1 / rate, at
+    the same stream position, for each shape the kernels call it with; a
+    draw that underflows is lifted to the least positive double."""
+
+    @staticmethod
+    def reference(rng, shape, rate, size=None):
+        return np.maximum(rng.gamma(shape, 1.0 / rate, size), math.ulp(0.0))
+
+    @pytest.mark.parametrize(
+        "shape, rate, size",
+        [
+            (4.0, 3.7, None),  # T | W
+            (1e-3, 1000.0, None),  # T | W, most draws lifted
+            (1.0, 1.0, (2, 3)),  # (born, V) births, and a flat Theta
+            (1e-3, 1.0, (4, 5)),
+            (
+                1.0 + np.arange(12.0).reshape(3, 4) % 5,
+                np.array([[1.0], [2.5], [4.0]]),
+                None,
+            ),  # the (kappa, V) Theta conditional against (kappa, 1) rates
+        ],
+        ids=["T", "T-lifted", "births", "births-lifted", "theta"],
+    )
+    def test_twin_stream(self, shape, rate, size):
+        lifted = 0
+        for seed in range(20):
+            rng, twin = RngStream(seed, 0), RngStream(seed, 0)
+            got = inference._gamma_factors(rng, shape, rate, size)
+            want = self.reference(twin, shape, rate, size)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+            assert rng.random() == twin.random()  # same stream position
+            lifted += int((np.asarray(got) == math.ulp(0.0)).sum())
+        assert (lifted > 0) == (np.min(shape) < 0.01)
+
+
 class TestSliceUpdates:
     def test_gamma_target_invariance(self):
         # start from the target, one move, still the target
