@@ -140,9 +140,12 @@ def nb_log_pmf(params, z):
 # samplers
 
 
-def _nb_draw(r, p, rng):
+def _nb_draw(r, p, rng, _gamma=None):
     """One NB(r, p) count, a Python int, through the gamma-Poisson mixture:
-    one gamma then one Poisson draw from rng, none when p <= 0.
+    one gamma then one Poisson draw from rng, none when p <= 0.  Given
+    _gamma, a Gamma(r) variate drawn ahead, it makes the Poisson draw alone:
+    update_entry passes one from its row's single gamma call, and the buffet
+    passes none.
 
     Floors 1 - p at 1e-300 and caps the Poisson rate at 1e18, so a beta
     draw that rounds to 1.0 cannot crash the Poisson sampler.  Both guards
@@ -157,7 +160,7 @@ def _nb_draw(r, p, rng):
     if p <= 0.0:
         return 0
     q = 1.0 - p
-    lam = rng.gamma(r) * (p / (q if q > 1e-300 else 1e-300))
+    lam = (rng.gamma(r) if _gamma is None else _gamma) * (p / (q if q > 1e-300 else 1e-300))
     return rng.poisson(lam if lam < 1e18 else 1e18)
 
 

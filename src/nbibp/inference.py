@@ -27,12 +27,13 @@ first read and kept until the next replacement, serves callers that want
 the array view.  The entry and singleton passes run on a writable copy
 of the matrix with its column sums, which becomes the state's matrix after
 both passes.  The two kernels work on that copy: update_entry refreshes one
-row's shared entries, drawing all of the row's proposals first and scoring
-them as one block of candidate rows, one product with Theta for the block;
-update_singletons runs one row's birth/death move on the rest, with the
-buffet's new dishes (generative._new_dishes) as its births, and scores the
-proposed and the current row as a block of two before it builds the
-proposed matrix.  Both kernels score through row_loglik's one block form.
+row's shared entries, drawing all of the row's proposals first (their
+Gamma(r) mixing variates in one call, then each one's beta and Poisson
+draws) and scoring them as one block of candidate rows, one product with
+Theta for the block; update_singletons runs one row's birth/death move on
+the rest, with the buffet's new dishes (generative._new_dishes) as its
+births, and scores the proposed and the current row as a block of two
+before it builds the proposed matrix.  Both kernels score through row_loglik's one block form.
 sweep_once calls each once per row.  update_theta writes its (n, V, kappa)
 weights into a workspace the state keeps and splits every cell in one
 multinomial call, in which a zero count takes no draw.
@@ -291,10 +292,15 @@ def update_entry(state, model, M, sums, i):
     given everything else, so the acceptance ratio is the likelihood ratio
     alone.  The entry's conditional depends on its column alone, so the
     kernel first draws every proposal of the row in column order.  A
-    proposal that differs from its entry is scored; one that would carry its
-    column sum to 2**63, past int64, is rejected without a draw, like an
-    impossible one.  With data, each scored proposal's uniform is drawn right
-    after it; a flat model accepts every proposal and draws none.
+    proposal is an NB draw mixed over a beta, drawn as beta -> gamma ->
+    Poisson; its Gamma(r) mixing variate does not depend on the state, so
+    the row's variates come first, one per column, from one standard_gamma
+    call, and each proposal then draws its beta and its Poisson count.  A
+    row with no such column draws nothing.  A proposal that differs from its
+    entry is scored; one that would carry its column sum to 2**63, past
+    int64, is rejected without a draw, like an impossible one.  With data,
+    each scored proposal's uniform is drawn right after it; a flat model
+    accepts every proposal and draws none.
 
     The scored proposals are then decided in order against one block of
     candidate rows: the row as it stands, then the row with each proposal's
@@ -308,10 +314,13 @@ def update_entry(state, model, M, sums, i):
     tail = hp.c + (M.shape[0] - 1) * r
     row = M[i]
     cols = (sums > row).nonzero()[0]
+    if not cols.size:
+        return False
     olds = row[cols]
+    gammas = rng.standard_gamma(r, cols.size).tolist()
     scored = []
-    for j, old, rest in zip(cols.tolist(), olds.tolist(), (sums[cols] - olds).tolist()):
-        prop = _nb_draw(r, beta(rest, tail), rng)
+    for j, old, rest, g in zip(cols.tolist(), olds.tolist(), (sums[cols] - olds).tolist(), gammas):
+        prop = _nb_draw(r, beta(rest, tail), rng, g)
         if prop == old or (prop > old and rest + prop >= 2**63):
             continue
         scored.append((j, prop, old, rng.random() if data else None))

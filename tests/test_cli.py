@@ -417,10 +417,12 @@ class TestErrorBoundary:
 
     def test_mass_draws_that_underflow_keep_running(self, capsys):
         # a Gamma(t_alpha << 1) draw of T can round to 0.0, and then c T can
-        # round to 0.0 inside the array p.m.f. the c/r slice moves evaluate
+        # round to 0.0 inside the array p.m.f. the c/r slice moves evaluate;
+        # seed 19 is the first of seeds 1-30 whose chain starts with features
+        # and loses them, after which a T draw rounds to 0.0
         code = cli.main(
             ["infer", "--synthetic", "--n", "4", "--V", "3", "--sweeps", "10",
-             "--t-alpha", "0.001", "--t-beta", "1000", "--seed", "1"]
+             "--t-alpha", "0.001", "--t-beta", "1000", "--seed", "19"]
         )
         captured = capsys.readouterr()
         assert code == 0

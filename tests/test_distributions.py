@@ -213,19 +213,21 @@ class TestHugeCounts:
         assert nb_log_pmf(NbParams(r, p), z) == pytest.approx(float(want), rel=1e-10)
 
 
-def nb_draw_reference(r, p, rng):
-    """_nb_draw with its guards written as max and min, kept as its oracle."""
+def nb_draw_reference(r, p, rng, gamma=None):
+    """_nb_draw with its guards written as max and min, kept as its oracle;
+    given gamma, a Gamma(r) variate drawn ahead, it draws the Poisson alone."""
     if p <= 0.0:
         return 0
     q = 1.0 - p
-    lam = rng.gamma(r) * (p / max(q, 1e-300))
+    lam = (rng.gamma(r) if gamma is None else gamma) * (p / max(q, 1e-300))
     return rng.poisson(min(lam, 1e18))
 
 
 class TestNbDrawGuards:
     """_nb_draw's comparison guards give the count and the stream position of
-    max/min guards at each edge: no draw at p <= 0, 1 - p floored at 1e-300
-    when a beta draw rounds to 1, and the rate capped at 1e18."""
+    max/min guards at each edge, with its own gamma draw and with a variate
+    drawn ahead (update_entry's path): no draw at p <= 0, 1 - p floored at
+    1e-300 when a beta draw rounds to 1, and the rate capped at 1e18."""
 
     @staticmethod
     def agree(r, p, seeds=range(40)):
@@ -234,24 +236,33 @@ class TestNbDrawGuards:
             z = _nb_draw(r, p, rng)
             assert type(z) is int and z == nb_draw_reference(r, p, twin)
             assert rng.random() == twin.random()  # same stream position
+            gamma = RngStream(seed, 1).gamma(r)
+            z = _nb_draw(r, p, rng, gamma)
+            assert type(z) is int and z == nb_draw_reference(r, p, twin, gamma)
+            assert rng.random() == twin.random()
 
     def test_no_draw_at_p_zero_or_below(self):
         for p in (0.0, -0.0, -0.5):
             self.agree(1.0, p)
-            rng = RngStream(0, 0)
-            assert _nb_draw(1.0, p, rng) == 0 and rng.random() == RngStream(0, 0).random()
+            for gamma in (None, 2.5):
+                rng = RngStream(0, 0)
+                assert _nb_draw(1.0, p, rng, gamma) == 0
+                assert rng.random() == RngStream(0, 0).random()
 
     def test_q_floored_when_p_rounds_to_one(self):
         # at r = 1e-3 about half the gamma draws keep gamma * 1e300 under the
         # cap, so the floor sets the rate on its own there
         self.agree(1e-3, 1.0)
-        under = [RngStream(s, 0).gamma(1e-3) * 1e300 < 1e18 for s in range(40)]
-        assert 0 < sum(under) < 40
+        for stream in (0, 1):  # the gamma of each path
+            under = [RngStream(s, stream).gamma(1e-3) * 1e300 < 1e18 for s in range(40)]
+            assert 0 < sum(under) < 40
+        assert 0 < _nb_draw(1.0, 1.0, RngStream(0, 0), 1e-290) < 10**12
 
     def test_rate_capped_past_1e18(self):
         self.agree(1000.0, 1.0 - 2.0**-53)  # rate about 9e18, q unfloored
         self.agree(1e19, 0.5)
         assert _nb_draw(1e19, 0.5, RngStream(0, 0)) > 9 * 10**17
+        assert 9 * 10**17 < _nb_draw(1.0, 0.5, RngStream(0, 0), 1e19) < 11 * 10**17
 
 
 class TestSamplers:

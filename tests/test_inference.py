@@ -13,9 +13,7 @@ import nbibp.inference as inference
 from nbibp.distributions import (
     BnbParams,
     DigammaParams,
-    _nb_draw,
     bnb_log_pmf,
-    bnb_sample,
     digamma_sample,
 )
 from nbibp.generative import _new_dishes, nbibp_simulate, truncated_oracle_simulate
@@ -52,6 +50,15 @@ def poisson_pmf(k, lam):
     return math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
 
 
+def nb_poisson_reference(g, p, rng):
+    """The Poisson half of an NB(r, p) draw given its Gamma(r) variate g, with
+    _nb_draw's guards written as max and min: no draw at p <= 0, 1 - p
+    floored at 1e-300 and the rate capped at 1e18."""
+    if p <= 0.0:
+        return 0
+    return int(rng.poisson(min(g * (p / max(1.0 - p, 1e-300)), 1e18)))
+
+
 def theta_reference(state, model):
     """The per-cell allocation loop that update_theta vectorises, kept as its
     oracle: one multinomial call per positive count on a positive rate, in
@@ -83,46 +90,46 @@ def move(kernel, state, model, *args):
         state.counts = M if out is True else out[0]
 
 
-def entry_reference(state, model, M, sums, i, j):
-    """The per-entry move that update_entry's row pass replaces, kept as its
-    oracle.  It draws in the kernel's order: the proposal, then, if it
-    differs from its entry and the model has data, its uniform.  Both row
-    log-likelihoods come from a fresh mat-vec at every such proposal, and the
-    move is decided at once.  True on accept."""
-    hp = state.hp
-    old = M[i, j]
-    prop = bnb_sample(
-        BnbParams(hp.r, float(sums[j] - old), hp.c + (M.shape[0] - 1) * hp.r), state.rng
-    )
-    if prop == old:
-        return False
-    u = state.rng.random() if model.y is not None else None
-    w_old = M[i].astype(np.float64)
-    w_new = w_old.copy()
-    w_new[j] = prop
-    if not _accept(
-        model.row_loglik(i, w_new @ state.Theta),
-        model.row_loglik(i, w_old @ state.Theta),
-        lambda: u,
-    ):
-        return False
-    M[i, j] = prop
-    sums[j] += prop - old
-    return True
+def entry_reference(state, model, M, sums, i):
+    """The per-entry moves that update_entry's row pass replaces, kept as its
+    oracle.  It draws in the kernel's order, one scalar call per draw: a
+    Gamma(r) variate for each column another row expresses, then, for each
+    such entry in column order, its proposal as beta then Poisson and, if the
+    proposal differs from its entry and the model has data, its uniform.
+    Both row log-likelihoods come from a fresh mat-vec at every such
+    proposal, and the move is decided at once.  True if any was accepted."""
+    hp, rng = state.hp, state.rng
+    cols = [j for j in range(M.shape[1]) if sums[j] > M[i, j]]
+    gammas = [rng.gamma(hp.r) for _ in cols]
+    moved = False
+    for j, g in zip(cols, gammas):
+        old = M[i, j]
+        p = rng.beta(float(sums[j] - old), hp.c + (M.shape[0] - 1) * hp.r)
+        prop = nb_poisson_reference(g, p, rng)
+        if prop == old:
+            continue
+        u = rng.random() if model.y is not None else None
+        w_old = M[i].astype(np.float64)
+        w_new = w_old.copy()
+        w_new[j] = prop
+        if _accept(
+            model.row_loglik(i, w_new @ state.Theta),
+            model.row_loglik(i, w_old @ state.Theta),
+            lambda: u,
+        ):
+            M[i, j] = prop
+            sums[j] += prop - old
+            moved = True
+    return moved
 
 
 def entry_pass(state, model, reference=False):
-    """One entry pass in sweep order, by update_entry per row or, as the
-    oracle, by entry_reference per entry; the final (M, column sums)."""
+    """One entry pass in sweep order, by update_entry or, as the oracle, by
+    entry_reference, once per row; the final (M, column sums)."""
     M = state.W.to_matrix()
     sums = M.sum(axis=0)
     for i in range(model.n):
-        if not reference:
-            update_entry(state, model, M, sums, i)
-            continue
-        for j in range(M.shape[1]):
-            if sums[j] > M[i, j]:
-                entry_reference(state, model, M, sums, i, j)
+        (entry_reference if reference else update_entry)(state, model, M, sums, i)
     return M, sums
 
 
@@ -142,7 +149,9 @@ def emptying_state():
     """A planted n=40 state whose row 0 holds one count and expresses two
     shared columns, the first with a small factor row.  On this seed the
     entry pass drops the first column and then proposes to empty the row, a
-    candidate of the block rebuilt after that accept."""
+    candidate of the block rebuilt after that accept.  Its stream seed, 0,
+    is the first of seeds 0-199 that reaches this under the kernel's draw
+    order."""
     state, model = planted_state(40, 15, 8, 11)
     M, y, theta = state.W.to_matrix(), model.y.copy(), state.Theta.copy()
     M[0] = 0
@@ -151,16 +160,17 @@ def emptying_state():
     y[0, 0] = 1
     theta[0] *= 0.01
     W = FeatureArray.from_matrix(M)
-    return ChainState(W, theta, state.hp, (1.0, 1.0), RngStream(11, 0)), PoissonFactorModel(y)
+    return ChainState(W, theta, state.hp, (1.0, 1.0), RngStream(0, 0)), PoissonFactorModel(y)
 
 
 def dead_cell_state():
     """A planted n=40 state whose row 0 holds one count, at v=0, and expresses
     three shared columns; the third has Theta_{2,0} = 0, set by hand after
     construction, since ChainState refuses a zero factor and _gamma_factors
-    floors a draw that underflows.  On stream seed 1 the entry pass drops
-    the first column and proposes to drop the second while the third keeps
-    the row nonempty, so the rate under the count must read exactly zero."""
+    floors a draw that underflows.  On stream seed 0, the first of seeds
+    0-199 that reaches this, the entry pass drops the first column and
+    proposes to drop the second while the third keeps the row nonempty, so
+    the rate under the count must read exactly zero."""
     state, model = planted_state(40, 15, 8, 6)
     M, y = state.W.to_matrix(), model.y.copy()
     M[0] = 0
@@ -168,7 +178,7 @@ def dead_cell_state():
     y[0] = 0
     y[0, 0] = 1
     W = FeatureArray.from_matrix(M)
-    state = ChainState(W, state.Theta.copy(), state.hp, (1.0, 1.0), RngStream(1, 0))
+    state = ChainState(W, state.Theta.copy(), state.hp, (1.0, 1.0), RngStream(0, 0))
     state.Theta[2:, 0] = 0.0
     return state, PoissonFactorModel(y)
 
@@ -390,16 +400,18 @@ class TestLogJoint:
 class TestEntryKernel:
     def test_private_entries_left_to_singletons(self):
         # row 1 expresses one private and one shared column: the kernel draws
-        # one proposal, for the shared entry, from BNB(r, 1, c + r) as beta
-        # then NB, and a flat model accepts it with no further draw; the
-        # private entry is update_singletons' to move
+        # one proposal, for the shared entry, from BNB(r, 1, c + r) as a
+        # Gamma(r) variate, then beta, then Poisson, and a flat model accepts
+        # it with no further draw; the private entry is update_singletons'
+        # to move
         hp = Hyperparams(1.0, 1.0, 1.0)
         model = PoissonFactorModel(n=2, V=1)
         moved = 0
         for seed in range(10):
             state = flat_state(FeatureArray(2, ((0, 2), (1, 3))), hp, seed)
             twin = RngStream(seed, 0)
-            want = _nb_draw(1.0, twin.beta(1.0, 2.0), twin)
+            g = twin.gamma(1.0)
+            want = nb_poisson_reference(g, twin.beta(1.0, 2.0), twin)
             M = state.W.to_matrix()
             update_entry(state, model, M, M.sum(axis=0), 1)
             assert M.tolist() == [[0, 1], [2, want]]
@@ -415,11 +427,13 @@ class TestEntryKernel:
     def test_proposal_past_int64_rejected_without_draw(self, model):
         # the other row holds 2**63 - 10, so the beta draw rounds to 1 and the
         # proposal lands near the 1e18 rate cap: its column sum would pass
-        # int64, so it is rejected before scoring, with no uniform drawn
+        # int64, so it is rejected before scoring, and with no proposal
+        # scored the row draws no uniform
         hp = Hyperparams(1.0, 1.0, 1.0)
         state = flat_state(FeatureArray(2, ((0, 2**63 - 10),)), hp, 7)
         twin = RngStream(7, 0)
-        want = _nb_draw(1.0, twin.beta(2**63 - 10, 2.0), twin)
+        g = twin.gamma(1.0)
+        want = nb_poisson_reference(g, twin.beta(2**63 - 10, 2.0), twin)
         assert want >= 10
         M = state.counts.copy()
         sums = M.sum(axis=0)
@@ -520,6 +534,52 @@ class TestEntryKernel:
             update_entry(state, model, M, M.sum(axis=0), 1)
             seen[tuple(M[1].tolist())] += 1
         p, cells, _ = gof_chi_square(seen, lambda k: pi[k] if max(k) <= Z else 0.0, reps)
+        assert cells >= 20
+        assert p > 1e-3
+
+    def test_accept_in_one_row_moves_the_next_rows_law(self):
+        # two rows share one column (z1, z2) under one positive count each and
+        # a fixed factor; the exact target pi(z1, z2), proportional to the
+        # array p.m.f. times the Poisson likelihood, is enumerated on
+        # [1, 200]^2 (a zero entry cannot meet its count).  Starts drawn from
+        # pi end a pass over both rows in pi.  Row 1's proposal law reads
+        # z1, so when row 0 accepts, row 1 must draw against the new column
+        # sum; a kernel that kept the sum from before that accept fails.  The
+        # cells are the binary magnitudes of (z1, z2), so each holds enough
+        # starts to resolve a shift in row 1's law
+        hp = Hyperparams(5.0, 0.3, 1.0)
+        theta, Z, reps = 0.2, 200, 10_000
+        model = PoissonFactorModel([[1], [1]])
+        z = np.arange(1, Z + 1)
+        log_lik = xlogy(1, theta * z) - theta * z  # Poisson(1 | theta z), at most 1
+        log_target = log_lik[:, None] + log_lik[None, :] + np.array(
+            [[log_pmf_array(FeatureArray(2, ((a, b),)), hp) for b in z.tolist()] for a in z.tolist()]
+        )
+        pi = np.exp(log_target)
+        # the array p.m.f. sums to at most 1 off the grid, where each
+        # likelihood is at most its value at 201, past the mode at 5
+        edge = xlogy(1, theta * (Z + 1)) - theta * (Z + 1)
+        assert math.exp(edge) / pi.sum() < 1e-12
+        pi /= pi.sum()
+        mag = np.floor(np.log2(z)).astype(int).tolist()
+        cell_mass = Counter()
+        for (a, b), mass in np.ndenumerate(pi):
+            cell_mass[mag[a], mag[b]] += mass
+        starts = np.random.default_rng(304).choice(pi.size, size=reps, p=pi.ravel())
+        state = ChainState(
+            FeatureArray(2, ((1, 1),)), np.full((1, 1), theta), hp, (1.0, 1.0), RngStream(304, 0)
+        )
+        seen, moved = Counter(), Counter()
+        for start in starts.tolist():
+            M = np.array(divmod(start, Z), dtype=np.int64)[:, None] + 1
+            sums = M.sum(axis=0)
+            for i in (0, 1):
+                moved[i] += update_entry(state, model, M, sums, i)
+            assert sums.tolist() == [M.sum()]
+            z1, z2 = M[:, 0].tolist()
+            seen[z1.bit_length() - 1, z2.bit_length() - 1] += 1
+        assert min(moved.values()) > reps // 3  # both rows move often
+        p, cells, _ = gof_chi_square(seen, lambda k: cell_mass[k], reps)
         assert cells >= 20
         assert p > 1e-3
 

@@ -1,10 +1,11 @@
-"""Random-stream pins: sha256 digests of seven fixed-seed runs.
+"""Random-stream pins: sha256 digests of eight fixed-seed runs.
 
 The pins cover run_chain with every kernel on (c/r slice moves included)
-from a planted n=40, V=15 truth; the Geweke suite's successive-conditional
-loop; `infer --synthetic --full`; `simulate` under the sequential, finitary
-and truncated constructions; and `sample` under the digamma, BNB and NB
-laws.  The chain and Geweke digests hash the hyperparameters as (r, c, T),
+from a planted n=40, V=15 truth, on its data and on a flat (y=None) model of
+the same shape, whose entry pass draws no uniforms; the Geweke suite's
+successive-conditional loop; `infer --synthetic --full`; `simulate` under
+the sequential, finitary and truncated constructions; and `sample` under
+the digamma, BNB and NB laws.  The chain and Geweke digests hash the hyperparameters as (r, c, T),
 so the text of repr(Hyperparams) is not part of the pin.
 
 A change that keeps every draw and every printed value leaves every digest
@@ -29,9 +30,10 @@ from nbibp.inference import (
 from nbibp.numerics import RngStream
 from nbibp.structures import FeatureArray, Hyperparams
 
-RUN_CHAIN_SHA256 = "404e89f37923012b6d9d7a1ed18d5aa6e0b88bc801253c92e57bd4266b97b685"
-GEWEKE_LOOP_SHA256 = "ee292c8ddcd8bc3ddbcab096dd8298bb076094f07d1ea33d8d6a24f68e179d16"
-INFER_FULL_SHA256 = "4205642753feb0a0a0afe4e32edac5216c7472c98bd003e8ea10688cd90ee1bc"
+RUN_CHAIN_SHA256 = "54c76807689773b54292f19cd335b1bbacf1bbdb455d9405654d8065d66e1946"
+FLAT_CHAIN_SHA256 = "fd02764c489872a491906a8c93ff15648a422c2ad18e263c82864a91f61bb982"
+GEWEKE_LOOP_SHA256 = "1dda0e6e53add49c7dc33f5b8e9510d5ddb69fa0baac9fe06df006de0e0efccd"
+INFER_FULL_SHA256 = "ea0cccf2e88da8a6be1214d919a746724b9a2a54bdedfb1894ed601d7e0fe91d"
 SIMULATE_SHA256 = "049e43bc035188a3273ca3e90763fe5b2eca456f4814e2fa0a968cbb1e54f150"
 FINITARY_SHA256 = "f968b048f6346bef9cdc63b5e349fc0f3c7d14241a5a3e54718e5984f8977b0e"
 TRUNCATED_SHA256 = "3a733207f7df4873df3b5bf8ee1d079a936af9c72e7292ccc8a4eedc6be671fe"
@@ -69,6 +71,22 @@ def run_chain_digest():
     return h.hexdigest()
 
 
+def flat_chain_digest():
+    """10 sweeps of every kernel, c/r slice moves included, of a flat-model
+    chain from the planted n=40, V=15 truth of run_chain_digest."""
+    W, theta, _ = _planted(40, 15, 8, 2024)
+    model = PoissonFactorModel(None, n=40, V=15)
+    rng = RngStream(32, 0)
+    init = ChainState(
+        FeatureArray.from_matrix(W), theta, Hyperparams(1.0, 1.0, 2.0), (1.0, 1.0), rng
+    )
+    h = hashlib.sha256()
+    for state in run_chain(model, init, 10, rng, ChainConfig()):
+        h.update(_state_key(state))
+        h.update(state.Theta.tobytes())
+    return h.hexdigest()
+
+
 def geweke_loop_digest(iters=500):
     """The successive-conditional loop of the Geweke suite at its own setup."""
     model = PoissonFactorModel(None, n=3, V=2)
@@ -93,6 +111,10 @@ def stdout_digest(capsys, *argv):
 
 def test_run_chain_stream_pinned():
     assert run_chain_digest() == RUN_CHAIN_SHA256
+
+
+def test_flat_chain_stream_pinned():
+    assert flat_chain_digest() == FLAT_CHAIN_SHA256
 
 
 def test_geweke_loop_stream_pinned():
