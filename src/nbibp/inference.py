@@ -33,10 +33,11 @@ draws) and scoring them as one block of candidate rows, one product with
 Theta for the block; update_singletons runs one row's birth/death move on
 the rest, with the buffet's new dishes (generative._new_dishes) as its
 births, and scores the proposed and the current row as a block of two
-before it builds the proposed matrix.  Both kernels score through row_loglik's one block form.
-sweep_once calls each once per row.  update_theta writes its (n, V, kappa)
-weights into a workspace the state keeps and splits every cell in one
-multinomial call, in which a zero count takes no draw.
+before it builds the proposed matrix.  Both kernels score through
+row_loglik's one block form.  sweep_once calls each once per row.
+update_theta writes its (n, V, kappa) weights into a workspace the state
+keeps and splits every cell in one multinomial call, in which a zero count
+takes no draw.
 
 A model built with y=None has a constant likelihood: every acceptance ratio
 is one and Theta reverts to its prior.  The chain then targets the prior
@@ -266,9 +267,9 @@ def _gamma_factors(rng, shape, rate, size=None):
     (possible for shape << 1) lifted to the least positive double, so Theta
     stays positive; every positive draw is returned unchanged.  With size
     None it is one draw, which float() makes the base mass T.  The draw is
-    rng.gamma(shape, 1 / rate, size) to the last bit: numpy's gamma is the
-    standard gamma times its scale, and skipping its broadcast of a second
-    parameter array saves about 5 us on an array-shaped Theta conditional."""
+    rng.gamma(shape, 1 / rate, size) to the last bit, since numpy's gamma is
+    the standard gamma times its scale, without gamma's broadcast of a
+    second parameter array."""
     return np.maximum(rng.standard_gamma(shape, size) * (1.0 / rate), math.ulp(0.0))
 
 
@@ -292,11 +293,12 @@ def update_entry(state, model, M, sums, i):
     given everything else, so the acceptance ratio is the likelihood ratio
     alone.  The entry's conditional depends on its column alone, so the
     kernel first draws every proposal of the row in column order.  A
-    proposal is an NB draw mixed over a beta, drawn as beta -> gamma ->
-    Poisson; its Gamma(r) mixing variate does not depend on the state, so
-    the row's variates come first, one per column, from one standard_gamma
-    call, and each proposal then draws its beta and its Poisson count.  A
-    row with no such column draws nothing.  A proposal that differs from its
+    proposal is NB(r, p) with p ~ Beta(rest, c + (n - 1) r), drawn as a
+    Poisson count whose rate is a Gamma(r) variate times p / (1 - p).  The
+    gamma variate does not depend on the state, so the row's come first,
+    one per column, from one standard_gamma call, and each proposal then
+    draws its beta and its Poisson count.  A row with no such column draws
+    nothing.  A proposal that differs from its
     entry is scored; one that would carry its column sum to 2**63, past
     int64, is rejected without a draw, like an impossible one.  With data,
     each scored proposal's uniform is drawn right after it; a flat model

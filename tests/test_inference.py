@@ -552,9 +552,10 @@ class TestEntryKernel:
         model = PoissonFactorModel([[1], [1]])
         z = np.arange(1, Z + 1)
         log_lik = xlogy(1, theta * z) - theta * z  # Poisson(1 | theta z), at most 1
-        log_target = log_lik[:, None] + log_lik[None, :] + np.array(
-            [[log_pmf_array(FeatureArray(2, ((a, b),)), hp) for b in z.tolist()] for a in z.tolist()]
-        )
+        log_pmf = [
+            [log_pmf_array(FeatureArray(2, ((a, b),)), hp) for b in z.tolist()] for a in z.tolist()
+        ]
+        log_target = log_lik[:, None] + log_lik[None, :] + np.array(log_pmf)
         pi = np.exp(log_target)
         # the array p.m.f. sums to at most 1 off the grid, where each
         # likelihood is at most its value at 201, past the mode at 5
