@@ -140,6 +140,13 @@ def nb_log_pmf(params, z):
 # samplers
 
 
+# The guards of every NB draw: 1 - p is floored at Q_FLOOR and the Poisson
+# rate capped at RATE_CAP, so a beta draw that rounds to 1.0 cannot crash
+# the Poisson sampler.
+Q_FLOOR = 1e-300
+RATE_CAP = 1e18
+
+
 def _nb_draw(r, p, rng, _gamma=None):
     """One NB(r, p) count, a Python int, through the gamma-Poisson mixture:
     one gamma then one Poisson draw from rng, none when p <= 0.  Given
@@ -147,21 +154,34 @@ def _nb_draw(r, p, rng, _gamma=None):
     update_entry passes one from its row's single gamma call, and the buffet
     passes none.
 
-    Floors 1 - p at 1e-300 and caps the Poisson rate at 1e18, so a beta
-    draw that rounds to 1.0 cannot crash the Poisson sampler.  Both guards
-    are plain comparisons, which run on every draw of the buffet and the
-    entry kernel; on the finite, non-NaN values a gamma and a beta draw give
-    they equal max(q, 1e-300) and min(rate, 1e18).  The cap is reached in
-    practice: a cold infer chain whose c/r moves drift to tiny c and r
-    (about 0.07 and 0.004) draws betas that round to 1, and its entries land
-    near 1e18.  The cap bounds each draw, not a sum of them; update_entry
-    rejects a proposal that would carry its column sum past int64.
+    Floors 1 - p at Q_FLOOR and caps the Poisson rate at RATE_CAP.  Both
+    guards are plain comparisons, which run on every draw of the buffet and
+    the entry kernel; on the finite, non-NaN values a gamma and a beta draw
+    give they equal max(q, Q_FLOOR) and min(rate, RATE_CAP).  The cap is
+    reached in practice: a cold infer chain whose c/r moves drift to tiny c
+    and r (about 0.07 and 0.004) draws betas that round to 1, and its entries
+    land near 1e18.  The cap bounds each draw, not a sum of them;
+    update_entry rejects a proposal that would carry its column sum past
+    int64.
     """
     if p <= 0.0:
         return 0
     q = 1.0 - p
-    lam = (rng.gamma(r) if _gamma is None else _gamma) * (p / (q if q > 1e-300 else 1e-300))
-    return rng.poisson(lam if lam < 1e18 else 1e18)
+    lam = (rng.gamma(r) if _gamma is None else _gamma) * (p / (q if q > Q_FLOOR else Q_FLOOR))
+    return rng.poisson(lam if lam < RATE_CAP else RATE_CAP)
+
+
+def _nb_fill(p, gammas, rng):
+    """_nb_draw over arrays: an int64 array of NB counts for the success
+    probabilities p with their Gamma(r) variates gammas drawn ahead, under the
+    same guards, from one Poisson call.  p <= 0 gives rate 0, for which
+    numpy's Poisson sampler returns 0 with no draw, so the counts and the
+    stream position equal _nb_draw(r, p_k, rng, gammas_k) called for each k
+    in turn."""
+    lam = gammas * (p / np.maximum(1.0 - p, Q_FLOOR))
+    np.minimum(lam, RATE_CAP, out=lam)
+    lam[p <= 0.0] = 0.0
+    return rng.poisson(lam)
 
 
 def nb_sample(params, rng):

@@ -27,10 +27,16 @@ first read and kept until the next replacement, serves callers that want
 the array view.  The entry and singleton passes run on a writable copy
 of the matrix with its column sums, which becomes the state's matrix after
 both passes.  The two kernels work on that copy: update_entry refreshes one
-row's shared entries, drawing all of the row's proposals first (their
-Gamma(r) mixing variates in one call, then each one's beta and Poisson
-draws) and scoring them as one block of candidate rows, one product with
-Theta for the block; update_singletons runs one row's birth/death move on
+row's shared entries, taking all of the row's proposals first and scoring
+them as one block of candidate rows, one product with Theta for the block.
+The proposals have two sources.  On a model with data whose n * kappa at
+the start of the sweep is at least BANK_MIN, sweep_once hands every row one
+_EntryBank: its Gamma(r) mixing variates and MH uniforms for all n * kappa
+entries in one call each, then every proposal's beta and then its Poisson
+count in one call each, with a moved column redrawn for the later rows
+after an accept.  Otherwise each row draws its own: its Gamma(r) variates in
+one call, then each proposal's beta and Poisson draws and, with data, its
+uniform.  update_singletons runs one row's birth/death move on
 the rest, with the buffet's new dishes (generative._new_dishes) as its
 births, and scores the proposed and the current row as a block of two
 before it builds the proposed matrix.  Both kernels score through
@@ -51,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .distributions import _nb_draw
+from .distributions import _nb_draw, _nb_fill
 from .generative import _new_dishes, nbibp_simulate
 from .numerics import harmonic_gap
 from .structures import FeatureArray, Hyperparams, _log_pmf_of
@@ -284,7 +290,66 @@ def _accept(delta_new, delta_old, uniform):
     return d >= 0.0 or uniform() < math.exp(d)
 
 
-def update_entry(state, model, M, sums, i):
+# n * kappa from which a sweep on data draws its entry proposals through an
+# _EntryBank; below it, and on a flat model, each row draws its own.  Raw
+# entry passes put the bank ahead from about 720 on sizes that grow n, V and
+# kappa together, and by 10% or more from 960.  Every accept costs the bank
+# a redraw, so data that accept more often (V small against kappa) cross
+# later.
+BANK_MIN = 1000
+
+_INT64_MAX = 2**63 - 1
+
+
+class _EntryBank:
+    """One entry pass's proposals and MH uniforms, drawn ahead in bulk.
+
+    The first read draws the Gamma(r) mixing variate of each of the n by
+    kappa entries with one standard_gamma call, then one uniform each with
+    one random call.  Then, from the reading row on, row-major over the
+    entries another row expresses, it draws every proposal's beta with one
+    beta call and then every Poisson count with one Poisson call, through
+    _nb_fill's guards.  An accept that moves a column sum marks the column;
+    the next read redraws the betas and then the Poisson counts of the marked
+    columns, for the reading row and every later one, row-major over rows
+    and sorted columns, and keeps the variates and uniforms.  So every read
+    proposal was drawn against its column sum as it stands, from its exact
+    conditional, and no earlier decision has read it.
+    """
+
+    def __init__(self, hp, M):
+        self.r, self.tail = hp.r, hp.c + (M.shape[0] - 1) * hp.r
+        self.stale = set(range(M.shape[1]))  # columns to redraw at the next read
+        self.gammas = None
+
+    def proposals(self, rng, M, sums, i, live):
+        """Row i's (j, proposal, entry, uniform) for each entry it scores, in
+        column order, over the columns live marks; a row with none reads
+        nothing."""
+        if not live.any():
+            return []
+        if self.gammas is None:
+            self.gammas = rng.standard_gamma(self.r, M.shape)
+            self.uniforms = rng.random(M.shape)
+            self.props = np.zeros(M.shape, dtype=np.int64)
+        if self.stale:
+            js = sorted(self.stale)
+            self.stale.clear()
+            if len(js) == 1:  # one column, read and written through views
+                js = js[0]
+            rest = sums[js] - M[i:, js]
+            drawn = rest > 0
+            props = self.props[i:, js]
+            p = rng.beta(rest[drawn], self.tail)
+            props[drawn] = _nb_fill(p, self.gammas[i:, js][drawn], rng)
+            self.props[i:, js] = props
+        row, props = M[i], self.props[i]
+        js = (live & (props != row) & (props - row <= _INT64_MAX - sums)).nonzero()[0]
+        us = self.uniforms[i, js]
+        return list(zip(js.tolist(), props[js].tolist(), row[js].tolist(), us.tolist()))
+
+
+def update_entry(state, model, M, sums, i, _bank=None):
     """MH refresh of M[i, j] in place for each j another row expresses, in
     order, on the count matrix M of W with its column sums kept current; True
     if any proposal was accepted.
@@ -294,15 +359,23 @@ def update_entry(state, model, M, sums, i):
     alone.  The entry's conditional depends on its column alone, so the
     kernel first draws every proposal of the row in column order.  A
     proposal is NB(r, p) with p ~ Beta(rest, c + (n - 1) r), drawn as a
-    Poisson count whose rate is a Gamma(r) variate times p / (1 - p).  The
-    gamma variate does not depend on the state, so the row's come first,
-    one per column, from one standard_gamma call, and each proposal then
-    draws its beta and its Poisson count.  A row with no such column draws
-    nothing.  A proposal that differs from its
-    entry is scored; one that would carry its column sum to 2**63, past
-    int64, is rejected without a draw, like an impossible one.  With data,
-    each scored proposal's uniform is drawn right after it; a flat model
-    accepts every proposal and draws none.
+    Poisson count whose rate is a Gamma(r) variate times p / (1 - p).  A
+    proposal that differs from its entry is scored; one that would carry its
+    column sum to 2**63, past int64, is rejected without a draw, like an
+    impossible one.  A flat model accepts every proposal and draws no
+    uniform.
+
+    The proposals come from one of two sources.  Given _bank, the sweep's
+    _EntryBank, the row reads them and their uniforms from it; see
+    _EntryBank for its draw order.  sweep_once passes one on a model with
+    data when n * kappa is at least BANK_MIN, a measured size from which the
+    bank is the faster source; a flat model accepts nearly every proposal,
+    so its bank would be redrawn after almost every row.
+    Otherwise the row draws its own: the gamma variates do not depend on
+    the state, so the row's come first, one per column, from one
+    standard_gamma call, and each proposal then draws its beta and its
+    Poisson count; with data, each scored proposal's uniform is drawn right
+    after it.  A row with no such column draws nothing, from either source.
 
     The scored proposals are then decided in order against one block of
     candidate rows: the row as it stands, then the row with each proposal's
@@ -312,20 +385,25 @@ def update_entry(state, model, M, sums, i):
     reads exactly 0.
     """
     hp, rng, theta = state.hp, state.rng, state.Theta
-    r, beta, data = hp.r, rng.beta, model.y is not None
-    tail = hp.c + (M.shape[0] - 1) * r
     row = M[i]
-    cols = (sums > row).nonzero()[0]
-    if not cols.size:
-        return False
-    olds = row[cols]
-    gammas = rng.standard_gamma(r, cols.size).tolist()
-    scored = []
-    for j, old, rest, g in zip(cols.tolist(), olds.tolist(), (sums[cols] - olds).tolist(), gammas):
-        prop = _nb_draw(r, beta(rest, tail), rng, g)
-        if prop == old or (prop > old and rest + prop >= 2**63):
-            continue
-        scored.append((j, prop, old, rng.random() if data else None))
+    live = sums > row
+    if _bank is not None:
+        scored = _bank.proposals(rng, M, sums, i, live)
+    else:
+        cols = live.nonzero()[0]
+        if not cols.size:
+            return False
+        r, beta, data = hp.r, rng.beta, model.y is not None
+        tail = hp.c + (M.shape[0] - 1) * r
+        olds = row[cols]
+        gammas = rng.standard_gamma(r, cols.size).tolist()
+        rests = (sums[cols] - olds).tolist()
+        scored = []
+        for j, old, rest, g in zip(cols.tolist(), olds.tolist(), rests, gammas):
+            prop = _nb_draw(r, beta(rest, tail), rng, g)
+            if prop == old or (prop > old and rest + prop >= 2**63):
+                continue
+            scored.append((j, prop, old, rng.random() if data else None))
     moved, lls = False, None
     for k, (j, prop, old, u) in enumerate(scored):
         if lls is None:  # the row as it stands, then proposals k onward
@@ -339,6 +417,8 @@ def update_entry(state, model, M, sums, i):
             row[j] = prop
             sums[j] += prop - old
             moved, lls = True, None
+            if _bank is not None:
+                _bank.stale.add(j)
     return moved
 
 
@@ -490,13 +570,16 @@ def sweep_once(state, model, config=ChainConfig()):
     A state that does not fit the model is refused on entry (_check_fit),
     before any draw; the kernels keep it fitting.  The entry and singleton
     passes run on a copy of state.counts and its column sums, which then
-    replaces state.counts; no FeatureArray is built.
+    replaces state.counts; no FeatureArray is built.  On a model with data
+    whose n * kappa is at least BANK_MIN, the entry pass reads its
+    proposals from one _EntryBank (see update_entry).
     """
     _check_fit(state, model)
     M = state.counts.copy()
     sums = M.sum(axis=0)
+    bank = _EntryBank(state.hp, M) if model.y is not None and M.size >= BANK_MIN else None
     for i in range(model.n):
-        update_entry(state, model, M, sums, i)
+        update_entry(state, model, M, sums, i, bank)
     for i in range(model.n):
         out = update_singletons(state, model, M, sums, i)
         if out is not None:

@@ -2,6 +2,7 @@ import math
 from collections import Counter
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from nbibp.distributions import (
     DigammaParams,
     NbParams,
     _nb_draw,
+    _nb_fill,
     bnb_log_pmf,
     bnb_sample,
     bnb_total_mass,
@@ -227,7 +229,9 @@ class TestNbDrawGuards:
     """_nb_draw's comparison guards give the count and the stream position of
     max/min guards at each edge, with its own gamma draw and with a variate
     drawn ahead (update_entry's path): no draw at p <= 0, 1 - p floored at
-    1e-300 when a beta draw rounds to 1, and the rate capped at 1e18."""
+    1e-300 when a beta draw rounds to 1, and the rate capped at 1e18.  The
+    array fill _nb_fill, the entry bank's path, gives the same at each edge,
+    with the edge case between ordinary draws."""
 
     @staticmethod
     def agree(r, p, seeds=range(40)):
@@ -240,6 +244,12 @@ class TestNbDrawGuards:
             z = _nb_draw(r, p, rng, gamma)
             assert type(z) is int and z == nb_draw_reference(r, p, twin, gamma)
             assert rng.random() == twin.random()
+            ps = [0.5, p, 0.25, p]
+            gammas = RngStream(seed, 2).standard_gamma(r, len(ps))
+            z = _nb_fill(np.array(ps), gammas, rng)
+            want = [nb_draw_reference(r, q, twin, g) for q, g in zip(ps, gammas.tolist())]
+            assert z.dtype == np.int64 and z.tolist() == want
+            assert rng.random() == twin.random()
 
     def test_no_draw_at_p_zero_or_below(self):
         for p in (0.0, -0.0, -0.5):
@@ -248,21 +258,27 @@ class TestNbDrawGuards:
                 rng = RngStream(0, 0)
                 assert _nb_draw(1.0, p, rng, gamma) == 0
                 assert rng.random() == RngStream(0, 0).random()
+            rng = RngStream(0, 0)
+            assert _nb_fill(np.array([p, p]), np.array([2.5, 1.0]), rng).tolist() == [0, 0]
+            assert rng.random() == RngStream(0, 0).random()
 
     def test_q_floored_when_p_rounds_to_one(self):
         # at r = 1e-3 about half the gamma draws keep gamma * 1e300 under the
         # cap, so the floor sets the rate on its own there
         self.agree(1e-3, 1.0)
-        for stream in (0, 1):  # the gamma of each path
+        for stream in (0, 1, 2):  # the gammas of each path
             under = [RngStream(s, stream).gamma(1e-3) * 1e300 < 1e18 for s in range(40)]
             assert 0 < sum(under) < 40
         assert 0 < _nb_draw(1.0, 1.0, RngStream(0, 0), 1e-290) < 10**12
+        assert 0 < _nb_fill(np.array([1.0]), np.array([1e-290]), RngStream(0, 0))[0] < 10**12
 
     def test_rate_capped_past_1e18(self):
         self.agree(1000.0, 1.0 - 2.0**-53)  # rate about 9e18, q unfloored
         self.agree(1e19, 0.5)
         assert _nb_draw(1e19, 0.5, RngStream(0, 0)) > 9 * 10**17
         assert 9 * 10**17 < _nb_draw(1.0, 0.5, RngStream(0, 0), 1e19) < 11 * 10**17
+        capped = _nb_fill(np.array([0.5]), np.array([1e19]), RngStream(0, 0))
+        assert 9 * 10**17 < capped[0] < 11 * 10**17
 
 
 class TestSamplers:

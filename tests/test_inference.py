@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -123,13 +124,68 @@ def entry_reference(state, model, M, sums, i):
     return moved
 
 
-def entry_pass(state, model, reference=False):
+def bank_reference(state, model, M, sums):
+    """The banked entry pass that update_entry makes given an _EntryBank,
+    kept as its oracle, with one scalar call per draw in the bank's order.
+    At the first row that proposes anything: a Gamma(r) variate for every
+    entry, row-major, then a uniform for every entry.  Then, at that row and
+    at each later row that proposes anything after an accept, for the
+    columns not yet drawn or moved since: the beta of every entry from that
+    row on that another row expresses, row-major over rows and sorted
+    columns, then each one's Poisson count.  Scoring as entry_reference.
+    True if any proposal was accepted."""
+    hp, rng = state.hp, state.rng
+    n, kappa = M.shape
+    tail = hp.c + (n - 1) * hp.r
+    gammas = uniforms = None
+    props, stale, moved = {}, set(range(kappa)), False
+    for i in range(n):
+        cols = [j for j in range(kappa) if sums[j] > M[i, j]]
+        if not cols:
+            continue
+        if gammas is None:
+            gammas = [[rng.standard_gamma(hp.r) for _ in range(kappa)] for _ in range(n)]
+            uniforms = [[rng.random() for _ in range(kappa)] for _ in range(n)]
+        pairs = [(k, j) for k in range(i, n) for j in sorted(stale) if sums[j] > M[k, j]]
+        stale.clear()
+        ps = [rng.beta(int(sums[j] - M[k, j]), tail) for k, j in pairs]
+        for (k, j), p in zip(pairs, ps):
+            props[k, j] = nb_poisson_reference(gammas[k][j], p, rng)
+        for j in cols:
+            old, prop, rest = int(M[i, j]), props[i, j], int(sums[j] - M[i, j])
+            if prop == old or (prop > old and rest + prop >= 2**63):
+                continue
+            w_old = M[i].astype(np.float64)
+            w_new = w_old.copy()
+            w_new[j] = prop
+            if _accept(
+                model.row_loglik(i, w_new @ state.Theta),
+                model.row_loglik(i, w_old @ state.Theta),
+                lambda: uniforms[i][j],
+            ):
+                M[i, j] = prop
+                sums[j] += prop - old
+                stale.add(j)
+                moved = True
+    return moved
+
+
+def entry_pass(state, model, reference=False, bank=False):
     """One entry pass in sweep order, by update_entry or, as the oracle, by
-    entry_reference, once per row; the final (M, column sums)."""
+    entry_reference once per row; with bank, by update_entry reading one
+    _EntryBank or, as the oracle, by bank_reference.  The final (M, column
+    sums)."""
     M = state.W.to_matrix()
     sums = M.sum(axis=0)
+    if reference and bank:
+        bank_reference(state, model, M, sums)
+        return M, sums
+    source = inference._EntryBank(state.hp, M) if bank else None
     for i in range(model.n):
-        (entry_reference if reference else update_entry)(state, model, M, sums, i)
+        if reference:
+            entry_reference(state, model, M, sums, i)
+        else:
+            update_entry(state, model, M, sums, i, source)
     return M, sums
 
 
@@ -145,42 +201,32 @@ def planted_state(n, V, K, seed, hp=Hyperparams(1.0, 1.0, 2.0)):
     return state, PoissonFactorModel(g.poisson(W @ theta))
 
 
-def emptying_state():
-    """A planted n=40 state whose row 0 holds one count and expresses two
-    shared columns, the first with a small factor row.  On this seed the
-    entry pass drops the first column and then proposes to empty the row, a
-    candidate of the block rebuilt after that accept.  Its stream seed, 0,
-    is the first of seeds 0-199 that reaches this under the kernel's draw
-    order."""
-    state, model = planted_state(40, 15, 8, 11)
-    M, y, theta = state.W.to_matrix(), model.y.copy(), state.Theta.copy()
-    M[0] = 0
-    M[0, :2] = 1
-    y[0] = 0
-    y[0, 0] = 1
-    theta[0] *= 0.01
-    W = FeatureArray.from_matrix(M)
-    return ChainState(W, theta, state.hp, (1.0, 1.0), RngStream(0, 0)), PoissonFactorModel(y)
+def emptying_state(seed):
+    """Row 0 holds one count, at v=0, and expresses two columns that row 1
+    shares, the first with a small factor at v=0.  r = 1e-300 makes every
+    Gamma(r) mixing variate 0.0, so every proposal is 0 on any stream: the
+    entry pass drops the first column, which raises row 0's likelihood, and
+    then proposes to empty the row, a candidate of the block rebuilt after
+    that accept."""
+    W = FeatureArray(2, ((1, 1), (1, 1)))
+    theta = np.array([[1e-3, 1.0], [1.0, 1.0]])
+    state = ChainState(W, theta, Hyperparams(1e-300, 1.0, 1.0), (1.0, 1.0), RngStream(seed, 0))
+    return state, PoissonFactorModel([[1, 0], [1, 1]])
 
 
-def dead_cell_state():
-    """A planted n=40 state whose row 0 holds one count, at v=0, and expresses
-    three shared columns; the third has Theta_{2,0} = 0, set by hand after
-    construction, since ChainState refuses a zero factor and _gamma_factors
-    floors a draw that underflows.  On stream seed 0, the first of seeds
-    0-199 that reaches this, the entry pass drops the first column and
-    proposes to drop the second while the third keeps the row nonempty, so
-    the rate under the count must read exactly zero."""
-    state, model = planted_state(40, 15, 8, 6)
-    M, y = state.W.to_matrix(), model.y.copy()
-    M[0] = 0
-    M[0, :3] = 1
-    y[0] = 0
-    y[0, 0] = 1
-    W = FeatureArray.from_matrix(M)
-    state = ChainState(W, state.Theta.copy(), state.hp, (1.0, 1.0), RngStream(0, 0))
-    state.Theta[2:, 0] = 0.0
-    return state, PoissonFactorModel(y)
+def dead_cell_state(seed):
+    """Row 0 holds one count, at v=0, and expresses three columns that row 1
+    shares; the third has Theta_{2,0} = 0, set by hand after construction,
+    since ChainState refuses a zero factor and _gamma_factors floors a draw
+    that underflows.  As in emptying_state every proposal is 0: the entry
+    pass drops the first column and proposes to drop the second while the
+    third keeps the row nonempty, so the rate under the count must read
+    exactly zero."""
+    W = FeatureArray(2, ((1, 1), (1, 1), (1, 1)))
+    theta = np.array([[1e-3, 1.0], [1.0, 1.0], [1.0, 1.0]])
+    state = ChainState(W, theta, Hyperparams(1e-300, 1.0, 1.0), (1.0, 1.0), RngStream(seed, 0))
+    state.Theta[2, 0] = 0.0
+    return state, PoissonFactorModel([[1, 0], [1, 1]])
 
 
 def sparse_state():
@@ -537,7 +583,8 @@ class TestEntryKernel:
         assert cells >= 20
         assert p > 1e-3
 
-    def test_accept_in_one_row_moves_the_next_rows_law(self):
+    @staticmethod
+    def next_rows_law(bank):
         # two rows share one column (z1, z2) under one positive count each and
         # a fixed factor; the exact target pi(z1, z2), proportional to the
         # array p.m.f. times the Poisson likelihood, is enumerated on
@@ -574,8 +621,9 @@ class TestEntryKernel:
         for start in starts.tolist():
             M = np.array(divmod(start, Z), dtype=np.int64)[:, None] + 1
             sums = M.sum(axis=0)
+            source = inference._EntryBank(hp, M) if bank else None
             for i in (0, 1):
-                moved[i] += update_entry(state, model, M, sums, i)
+                moved[i] += update_entry(state, model, M, sums, i, source)
             assert sums.tolist() == [M.sum()]
             z1, z2 = M[:, 0].tolist()
             seen[z1.bit_length() - 1, z2.bit_length() - 1] += 1
@@ -583,6 +631,15 @@ class TestEntryKernel:
         p, cells, _ = gof_chi_square(seen, lambda k: cell_mass[k], reps)
         assert cells >= 20
         assert p > 1e-3
+
+    def test_accept_in_one_row_moves_the_next_rows_law(self):
+        self.next_rows_law(bank=False)
+
+    def test_bank_accept_in_one_row_moves_the_next_rows_law(self):
+        # the same law from the bank, which must redraw row 1's proposal
+        # after row 0's accept: a bank that kept the proposal drawn against
+        # the old column sum fails
+        self.next_rows_law(bank=True)
 
     @pytest.mark.parametrize(
         "size, seed",
@@ -597,14 +654,29 @@ class TestEntryKernel:
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert state.rng.random() == twin.rng.random()  # same stream position
 
+    @pytest.mark.parametrize("size, seed", [((40, 15, 8), 134), ((100, 50, 16), 137)],
+                             ids=["40x15x8", "100x50x16"])
+    def test_bank_pass_matches_reference(self, size, seed):
+        # the bank's reads equal scalar calls made in its declared order, bit
+        # for bit, and leave the stream where those calls do
+        state, model = planted_state(*size, seed)
+        twin, _ = planted_state(*size, seed)
+        got = entry_pass(state, model, bank=True)
+        want = entry_pass(twin, model, reference=True, bank=True)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert state.rng.random() == twin.rng.random()  # same stream position
+
     def test_emptied_row_scores_on_zero_rates(self):
         # the candidate row that leaves row 0 no positive rate under its
         # count (by emptying the row, or by dropping the last feature with a
         # positive factor there) must read exactly 0 there in its block and
-        # score -inf; rounding residue would read a finite log-likelihood
-        for make in (emptying_state, dead_cell_state):
-            state, model = make()
-            twin, _ = make()
+        # score -inf; rounding residue would read a finite log-likelihood.
+        # Every proposal is 0 on these states, so every stream reaches this
+        for make, seed, bank in itertools.product(
+            (emptying_state, dead_cell_state), (0, 1, 2), (False, True)
+        ):
+            state, model = make(seed)
+            twin, _ = make(seed)
             row_loglik = model.row_loglik
             dead = []
 
@@ -615,10 +687,11 @@ class TestEntryKernel:
                 return out
 
             model.row_loglik = watched
-            got = entry_pass(state, model)
-            assert dead == [-math.inf], make.__name__
+            got = entry_pass(state, model, bank=bank)
+            assert dead == [-math.inf], (make.__name__, seed, bank)
+            assert got[0][0, 0] == 0  # the first column was dropped
             del model.row_loglik
-            want = entry_pass(twin, model, reference=True)
+            want = entry_pass(twin, model, reference=True, bank=bank)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             assert state.rng.random() == twin.rng.random()
 

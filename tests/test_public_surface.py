@@ -194,6 +194,52 @@ def test_tracer_sees_the_kernels():
     assert drawn == simulate()
 
 
+def test_tracer_counts_one_call_per_banked_row(monkeypatch):
+    # above BANK_MIN sweep_once hands one entry bank to every update_entry
+    # call, so the tracer still counts one call per row, and tracing takes no
+    # draws from the bank either
+    spans = load_spans()
+    g = np.random.default_rng(5)
+    n, V, K = 100, 10, 12
+    W = np.where(g.random((n, K)) < 0.3, 1 + g.poisson(1.0, (n, K)), 0)
+    W[0] += 1  # every column used
+    theta = g.gamma(1.0, 1.0, (K, V))
+    y = g.poisson(W @ theta)
+    assert W.size >= nbibp.inference.BANK_MIN
+    banks = []
+    bank = nbibp.inference._EntryBank
+
+    def kept_bank(*args):
+        banks.append(bank(*args))
+        return banks[-1]
+
+    monkeypatch.setattr(nbibp.inference, "_EntryBank", kept_bank)
+
+    def sweep():
+        model = PoissonFactorModel(y)
+        state = ChainState(
+            FeatureArray.from_matrix(W), theta, Hyperparams(1.0, 1.0, 2.0), (1.0, 1.0),
+            RngStream(9, 0),
+        )
+        nbibp.inference.sweep_once(state, model)
+        return state.counts, state.Theta
+
+    tracer = spans.Tracer(nbibp)
+    try:
+        tracer.install()
+        tracer.active = True
+        swept = sweep()
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    stats = tracer.stats()
+    assert stats["inference.sweep_once.calls"] == 1
+    assert stats["inference.update_entry.calls"] == n
+    assert len(banks) == 1 and banks[0].gammas.shape == (n, K)  # the rows read it
+    plain = sweep()
+    assert np.array_equal(swept[0], plain[0]) and np.array_equal(swept[1], plain[1])
+
+
 def test_traced_spans_have_no_negative_times():
     # the tracer reads state.W between pushing a kernel's span and starting
     # its clock, so a W built on that read would nest a span before its
