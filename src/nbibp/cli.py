@@ -201,9 +201,16 @@ def _load_counts(path):
         obj = None
     y = obj.get("y") if isinstance(obj, dict) else obj
     if isinstance(y, list):  # JSON; a 1x1 whitespace file also parses, as a number
-        # numpy would read true and false as the counts 1 and 0
-        if any(v is True or v is False for row in y if isinstance(row, list) for v in row):
-            raise ValueError(f"{path}: counts must be integers, not true or false")
+        # numpy would report a ragged matrix as a sequence in an array element
+        for k, row in enumerate(y):
+            if not isinstance(row, list) or any(isinstance(v, list) for v in row):
+                raise ValueError(f"{path}: row {k} is not a list of counts")
+            if len(row) != len(y[0]):
+                raise ValueError(f"{path}: not a rectangular count matrix: row {k} has "
+                                 f"{len(row)} counts, row 0 has {len(y[0])}")
+            # numpy would read true and false as the counts 1 and 0
+            if any(v is True or v is False for v in row):
+                raise ValueError(f"{path}: counts must be integers, not true or false")
         return y
     rows = [
         [int(tok) for tok in ln.split()] for ln in text.splitlines() if ln.strip()

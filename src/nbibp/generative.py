@@ -28,6 +28,7 @@ Three routes produce draws from the same law:
 """
 
 import math
+import sys
 from functools import lru_cache
 
 from .distributions import (
@@ -111,26 +112,47 @@ def bnbp_sample_finitary(hp, rng, fixed_atoms=()):
 # truncated hierarchical oracle
 
 
+# log of the least normal double: an upper piece whose bound falls below it
+# is 0.0 to double precision
+_LOG_TINY = math.log(sys.float_info.min)
+
+
+def _quad_result(out, where):
+    """The value of a full_output quad result, or RuntimeError unless the
+    value is finite and its error estimate is at most 1e-10 (a NaN estimate
+    fails the comparison)."""
+    if not (math.isfinite(out[0]) and out[1] <= 1e-10):
+        raise RuntimeError(
+            f"weight-measure quadrature failed near {where}: value={out[0]!r}, abserr={out[1]!r}"
+        )
+    return out[0]
+
+
 @lru_cache(maxsize=128)
 def _weight_integrals(c, epsilon):
     """(I_low, I_high): integral of p^{-1} (1-p)^{c-1} over (eps, 1/2] and
-    (max(eps, 1/2), 1)."""
+    (max(eps, 1/2), 1).
+
+    I_high is at most (1 - lo)^c / (c lo), lo = max(eps, 1/2).  Where that
+    bound is below the least normal double, I_high is 0.0, with no
+    quadrature: the algebraic-weight rule returns NaN there from c of about
+    1040 on.  A large c thus gives both pieces about 0 and no atoms."""
     from scipy.integrate import quad  # imported on use: only the truncated oracle integrates
 
     lo = max(epsilon, 0.5)
-    out = quad(
-        lambda p: 1.0 / p,
-        lo,
-        1.0,
-        weight="alg",
-        wvar=(0.0, c - 1.0),
-        epsabs=1e-12,
-        epsrel=1e-12,
-        full_output=1,
-    )
-    if out[1] > 1e-10:
-        raise RuntimeError(f"weight-measure quadrature failed near 1: abserr={out[1]!r}")
-    i_high = out[0]
+    i_high = 0.0
+    if c * math.log1p(-lo) - math.log(c * lo) >= _LOG_TINY:
+        out = quad(
+            lambda p: 1.0 / p,
+            lo,
+            1.0,
+            weight="alg",
+            wvar=(0.0, c - 1.0),
+            epsabs=1e-12,
+            epsrel=1e-12,
+            full_output=1,
+        )
+        i_high = _quad_result(out, 1)
     i_low = 0.0
     if epsilon < 0.5:
         # in t = log p the lower piece is smooth and bounded
@@ -143,9 +165,7 @@ def _weight_integrals(c, epsilon):
             limit=200,
             full_output=1,
         )
-        if out[1] > 1e-10:
-            raise RuntimeError(f"weight-measure quadrature failed near 0: abserr={out[1]!r}")
-        i_low = out[0]
+        i_low = _quad_result(out, 0)
     return i_low, i_high
 
 

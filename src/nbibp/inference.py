@@ -34,13 +34,15 @@ the start of the sweep is at least BANK_MIN, sweep_once hands every row one
 _EntryBank: its Gamma(r) mixing variates and MH uniforms for all n * kappa
 entries in one call each, then every proposal's beta and then its Poisson
 count in one call each, with a moved column redrawn for the later rows
-after an accept.  Otherwise each row draws its own: its Gamma(r) variates in
-one call, then each proposal's beta and Poisson draws and, with data, its
-uniform.  update_singletons runs one row's birth/death move on
-the rest, with the buffet's new dishes (generative._new_dishes) as its
-births, and scores the proposed and the current row as a block of two
-before it builds the proposed matrix.  Both kernels score through
-row_loglik's one block form.  sweep_once calls each once per row.
+after an accept.  The bank keeps which entries each (re)draw scores, so a
+row reads its proposals with one lookup.  Otherwise each row draws its own:
+its Gamma(r) variates in one call, then each proposal's beta and Poisson
+draws and, with data, its uniform.  update_singletons runs one row's
+birth/death move on the rest, with the buffet's new dishes
+(generative._new_dishes) as its births, and scores the proposed and the
+current row as a block of two before it builds the proposed matrix.  Both
+kernels score through row_loglik's one block form.  sweep_once calls each
+once per row.
 update_theta writes its (n, V, kappa) weights into a workspace the state
 keeps and splits every cell in one multinomial call, in which a zero count
 takes no draw.
@@ -115,8 +117,10 @@ class PoissonFactorModel:
         self.b_theta = float(b_theta)
 
     def _observe(self, y):
-        """Hold the int64 count matrix y with its log-factorials and shape."""
-        self.y, self._log_fact, (self.n, self.V) = y, gammaln(y + 1.0), y.shape
+        """Hold the int64 count matrix y with its float64 copy, the doubles
+        xlogy casts y to, its log-factorials and its shape."""
+        self.y, self._yf, (self.n, self.V) = y, y.astype(np.float64), y.shape
+        self._log_fact = gammaln(self._yf + 1.0)
 
     def row_loglik(self, i, rates):
         """log p(y_i | rates) for each row of a (k, V) block of candidate
@@ -124,7 +128,7 @@ class PoissonFactorModel:
         makes it -inf where a zero rate meets a positive count."""
         if self.y is None:
             return np.zeros(np.shape(rates)[:-1]).tolist()
-        out = xlogy(self.y[i], rates)
+        out = xlogy(self._yf[i], rates)
         out -= rates
         out -= self._log_fact[i]
         return np.add.reduce(out, -1).tolist()
@@ -134,7 +138,7 @@ class PoissonFactorModel:
         if self.y is None:
             return 0.0
         rates = np.asarray(w_mat, dtype=np.float64) @ theta
-        return float((xlogy(self.y, rates) - rates - self._log_fact).sum())
+        return float((xlogy(self._yf, rates) - rates - self._log_fact).sum())
 
 
 class ChainState:
@@ -295,7 +299,8 @@ def _accept(delta_new, delta_old, uniform):
 # entry passes put the bank ahead from about 720 on sizes that grow n, V and
 # kappa together, and by 10% or more from 960.  Every accept costs the bank
 # a redraw, so data that accept more often (V small against kappa) cross
-# later.
+# later.  With the bank's kept scored mask it leads by 10% from 720, but the
+# constant stays: moving it would move the streams of chains near it.
 BANK_MIN = 1000
 
 _INT64_MAX = 2**63 - 1
@@ -315,38 +320,49 @@ class _EntryBank:
     and sorted columns, and keeps the variates and uniforms.  So every read
     proposal was drawn against its column sum as it stands, from its exact
     conditional, and no earlier decision has read it.
+
+    Each (re)draw also sets the scored mask of the entries it covers: drawn
+    (another row expresses the entry), differing from the entry, and within
+    the int64 guard.  Those tests read only the entry, which no earlier row
+    moves, and its column sum, which only an accept moves and which marks
+    the column; so with no column marked, a row's mask is exact, and a read
+    is one nonzero on it and three gathers.  A read with columns marked
+    first asks whether the row expresses anything another row does, and
+    reads nothing, leaving the mark, if not.
     """
 
     def __init__(self, hp, M):
         self.r, self.tail = hp.r, hp.c + (M.shape[0] - 1) * hp.r
         self.stale = set(range(M.shape[1]))  # columns to redraw at the next read
         self.gammas = None
+        self.props = np.zeros(M.shape, dtype=np.int64)
+        self.scored = np.zeros(M.shape, dtype=bool)
 
-    def proposals(self, rng, M, sums, i, live):
-        """Row i's (j, proposal, entry, uniform) for each entry it scores, in
-        column order, over the columns live marks; a row with none reads
+    def proposals(self, rng, M, sums, i):
+        """Row i's scored entries in column order, as four lists: columns,
+        proposals, entries and uniforms; all empty for a row that scores
         nothing."""
-        if not live.any():
-            return []
-        if self.gammas is None:
-            self.gammas = rng.standard_gamma(self.r, M.shape)
-            self.uniforms = rng.random(M.shape)
-            self.props = np.zeros(M.shape, dtype=np.int64)
         if self.stale:
+            if not (sums > M[i]).any():
+                return [], [], [], []
+            if self.gammas is None:
+                self.gammas = rng.standard_gamma(self.r, M.shape)
+                self.uniforms = rng.random(M.shape)
             js = sorted(self.stale)
             self.stale.clear()
             if len(js) == 1:  # one column, read and written through views
                 js = js[0]
-            rest = sums[js] - M[i:, js]
+            olds, room = M[i:, js], _INT64_MAX - sums[js]
+            rest = sums[js] - olds
             drawn = rest > 0
             props = self.props[i:, js]
             p = rng.beta(rest[drawn], self.tail)
             props[drawn] = _nb_fill(p, self.gammas[i:, js][drawn], rng)
             self.props[i:, js] = props
-        row, props = M[i], self.props[i]
-        js = (live & (props != row) & (props - row <= _INT64_MAX - sums)).nonzero()[0]
-        us = self.uniforms[i, js]
-        return list(zip(js.tolist(), props[js].tolist(), row[js].tolist(), us.tolist()))
+            self.scored[i:, js] = drawn & (props != olds) & (props - olds <= room)
+        js = self.scored[i].nonzero()[0]
+        props, olds, us = self.props[i, js], M[i, js], self.uniforms[i, js]
+        return js.tolist(), props.tolist(), olds.tolist(), us.tolist()
 
 
 def update_entry(state, model, M, sums, i, _bank=None):
@@ -377,48 +393,60 @@ def update_entry(state, model, M, sums, i, _bank=None):
     Poisson count; with data, each scored proposal's uniform is drawn right
     after it.  A row with no such column draws nothing, from either source.
 
-    The scored proposals are then decided in order against one block of
-    candidate rows: the row as it stands, then the row with each proposal's
-    entry set.  The block takes one product with Theta and one row_loglik
-    call, and is rebuilt for the proposals that follow an accept.  Every
-    candidate's rates come from a fresh product, so an unsupported rate
-    reads exactly 0.
+    Either source hands over the scored proposals as four lists: columns,
+    proposals, entries and uniforms.  They are decided in order against one
+    block of candidate rows: the row as it stands, then the row with each
+    proposal's entry set.  The block takes one product with Theta and one
+    row_loglik call, and is rebuilt for the proposals that follow an accept.
+    One loop over the block's log-likelihoods makes _accept's comparison on
+    each in turn.  Every candidate's rates come from a fresh product, so an
+    unsupported rate reads exactly 0.
     """
     hp, rng, theta = state.hp, state.rng, state.Theta
     row = M[i]
-    live = sums > row
     if _bank is not None:
-        scored = _bank.proposals(rng, M, sums, i, live)
+        js, props, olds, us = _bank.proposals(rng, M, sums, i)
     else:
-        cols = live.nonzero()[0]
+        cols = (sums > row).nonzero()[0]
         if not cols.size:
             return False
         r, beta, data = hp.r, rng.beta, model.y is not None
         tail = hp.c + (M.shape[0] - 1) * r
-        olds = row[cols]
+        entries = row[cols]
         gammas = rng.standard_gamma(r, cols.size).tolist()
-        rests = (sums[cols] - olds).tolist()
-        scored = []
-        for j, old, rest, g in zip(cols.tolist(), olds.tolist(), rests, gammas):
+        rests = (sums[cols] - entries).tolist()
+        js, props, olds, us = [], [], [], []
+        for j, old, rest, g in zip(cols.tolist(), entries.tolist(), rests, gammas):
             prop = _nb_draw(r, beta(rest, tail), rng, g)
             if prop == old or (prop > old and rest + prop >= 2**63):
                 continue
-            scored.append((j, prop, old, rng.random() if data else None))
-    moved, lls = False, None
-    for k, (j, prop, old, u) in enumerate(scored):
-        if lls is None:  # the row as it stands, then proposals k onward
-            block = np.empty((len(scored) - k + 1, row.size))
-            block[:] = row
-            for t, (jt, pt, _, _) in enumerate(scored[k:], 1):
-                block[t, jt] = pt
-            ll, *lls = model.row_loglik(i, block @ theta)
-            lls = iter(lls)
-        if _accept(next(lls), ll, lambda: u):
-            row[j] = prop
-            sums[j] += prop - old
-            moved, lls = True, None
+            js.append(j)
+            props.append(prop)
+            olds.append(old)
+            if data:
+                us.append(rng.random())
+    moved, k = False, 0
+    while k < len(js):  # the row as it stands, then proposals k onward
+        block = np.empty((len(js) - k + 1, row.size))
+        block[:] = row
+        for t in range(k, len(js)):
+            block[t - k + 1, js[t]] = props[t]
+        ll, *lls = model.row_loglik(i, block @ theta)
+        for new in lls:
+            t, k = k, k + 1
+            # _accept's comparison; a flat model scores every candidate 0
+            # and so reads no uniform
+            if new == -math.inf:
+                continue
+            if ll != -math.inf and not (new - ll >= 0.0 or us[t] < math.exp(new - ll)):
+                continue
+            j = js[t]
+            row[j] = props[t]
+            sums[j] += props[t] - olds[t]
+            moved = True
             if _bank is not None:
                 _bank.stale.add(j)
+            break
     return moved
 
 
@@ -439,7 +467,7 @@ def update_singletons(state, model, M, sums, i):
     hp, rng, theta = state.hp, state.rng, state.Theta
     n = M.shape[0]
     row = M[i]
-    private = (row > 0) & (sums == row)
+    private = sums == row  # every column sum is positive
     masses = _new_dishes(hp, n - 1, rng)
     born = len(masses)
     if born == 0 and not private.any():

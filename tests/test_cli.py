@@ -415,22 +415,30 @@ class TestErrorBoundary:
             assert len(records) == 31, argv
             assert all(math.isfinite(rec["log_joint"]) for rec in records), argv
 
-    def test_mass_draws_that_underflow_keep_running(self, capsys):
+    def test_mass_draws_that_underflow_keep_running(self, tmp_path, capsys):
         # a Gamma(t_alpha << 1) draw of T can round to 0.0, and then c T can
-        # round to 0.0 inside the array p.m.f. the c/r slice moves evaluate;
-        # seed 19 is the first of seeds 1-30 whose chain starts with features
-        # and loses them, after which a T draw rounds to 0.0
-        code = cli.main(
-            ["infer", "--synthetic", "--n", "4", "--V", "3", "--sweeps", "10",
-             "--t-alpha", "0.001", "--t-beta", "1000", "--seed", "19"]
-        )
-        captured = capsys.readouterr()
-        assert code == 0
-        assert captured.err == ""
-        records = [json.loads(ln) for ln in captured.out.splitlines()[1:]]
-        assert len(records) == 11
-        assert all(rec["T"] > 0.0 for rec in records)
-        assert min(rec["T"] for rec in records) == math.ulp(0.0)
+        # round to 0.0 inside the array p.m.f. the c/r slice moves evaluate.
+        # The flags put every chain there on any stream: at mass 1e-300 the
+        # start has no feature and no birth follows, Gamma(1e-300) rounds to
+        # 0.0 at every draw of T, and c is pinned at 0.25, so c T rounds to
+        # 0.0 at every p.m.f. the r slice move evaluates
+        assert 0.25 * math.ulp(0.0) == 0.0
+        path = tmp_path / "y.json"
+        path.write_text(json.dumps([[0, 0, 0]] * 4))
+        for seed in ("1", "2", "3"):
+            code = cli.main(
+                ["infer", "--in", str(path), "--sweeps", "10", "--mass-T", "1e-300",
+                 "--c", "0.25", "--c-prior", "point", "--t-alpha", "1e-300",
+                 "--t-beta", "1000", "--seed", seed]
+            )
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == "", seed
+            records = [json.loads(ln) for ln in captured.out.splitlines()]
+            assert len(records) == 11, seed
+            assert all(rec["kappa"] == 0 and rec["c"] == 0.25 for rec in records), seed
+            assert all(rec["T"] == math.ulp(0.0) for rec in records[1:]), seed
+            assert len({rec["r"] for rec in records}) > 1, seed  # the r move ran
+            assert all(math.isfinite(rec["log_joint"]) for rec in records), seed
 
     def test_entry_column_sums_stay_in_int64(self, tmp_path, capsys):
         # on this planted input the c/r moves drift to c ~ 0.07 and r ~ 0.004,
@@ -475,6 +483,39 @@ class TestErrorBoundary:
         out = run_cli("infer", "--in", str(path), "--sweeps", "2", "--seed", "1")
         assert out.returncode == 2
         assert out.stderr.splitlines() == ["nbibp: error: y entries must be >= 0"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[[1, 2], [3]]", "not a rectangular count matrix: row 1 has 1 counts, row 0 has 2"),
+            ('{"y": [[1], [2], [3, 4]]}',
+             "not a rectangular count matrix: row 2 has 2 counts, row 0 has 1"),
+            ("[[1, 2], 3]", "row 1 is not a list of counts"),
+            ("[[1, 2], [3, [4]]]", "row 1 is not a list of counts"),
+        ],
+        ids=["short-row", "long-row", "number-row", "nested-entry"],
+    )
+    def test_json_counts_must_be_rectangular(self, tmp_path, capsys, text, message):
+        # the JSON branch checks the shape the whitespace branch checks,
+        # before numpy would report a sequence in an array element
+        path = tmp_path / "y.json"
+        path.write_text(text)
+        code = cli.main(["infer", "--in", str(path), "--sweeps", "2", "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"nbibp: error: {path}: {message}"]
+
+    def test_truncated_construction_at_large_concentration(self, capsys):
+        # the upper weight piece's quadrature returns NaN from c of about
+        # 1040 on; the piece is 0.0 to double precision there, so these runs
+        # draw no atoms instead of handing numpy a NaN Poisson rate
+        for c in ("1e4", "1e20", "1e200"):
+            code = cli.main(
+                ["simulate", "--construction", "truncated", "--c", c, "--n", "2",
+                 "--reps", "1", "--seed", "1"]
+            )
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == "", c
+            assert json.loads(captured.out.splitlines()[0])["columns"] == [], c
 
     def test_json_counts_must_be_integers(self, tmp_path, capsys):
         # JSON input reaches the model's integer check uncast, as text input does

@@ -254,6 +254,36 @@ class TestWeightMeasure:
             with pytest.raises(ValueError):
                 truncated_oracle_simulate(2, hp, bad, RngStream(29, 0))
 
+    def test_large_concentration_pieces_are_finite(self):
+        # the upper piece's bound (1 - lo)^c / (c lo) is below the least
+        # normal double from c of about 1013 at lo = 1/2; there the piece is
+        # 0.0 (the quadrature returned NaN from c of about 1040), and below
+        # it the quadrature value stands
+        assert _weight_integrals(1e3, 1e-3)[1] == pytest.approx(1.2612333375034905e-304, rel=1e-6)
+        for c in (1041.0, 1e4, 1e6, 1e20, 1e300):
+            for eps in (1e-3, 0.6):
+                i_low, i_high = _weight_integrals(c, eps)
+                assert i_high == 0.0, (c, eps)
+                assert math.isfinite(i_low) and i_low >= 0.0, (c, eps)
+        arr = truncated_oracle_simulate(2, Hyperparams(1.0, 1e20, 1.0), 1e-3, RngStream(27, 0))
+        assert arr.kappa == 0
+
+    def test_failed_quadrature_refused(self, monkeypatch):
+        # a NaN value or error estimate fails the check, as a large one does
+        import scipy.integrate
+
+        for out in ((math.nan, math.nan, {}), (1.0, math.nan, {}), (math.nan, 0.0, {})):
+            # the upper piece, then the lower with a sound upper piece
+            monkeypatch.setattr(scipy.integrate, "quad", lambda *a, out=out, **k: out)
+            with pytest.raises(RuntimeError, match="quadrature failed near 1"):
+                _weight_integrals.__wrapped__(2.5, 0.6)
+            monkeypatch.setattr(
+                scipy.integrate, "quad",
+                lambda *a, out=out, weight=None, **k: (0.5, 0.0, {}) if weight else out,
+            )
+            with pytest.raises(RuntimeError, match="quadrature failed near 0"):
+                _weight_integrals.__wrapped__(2.5, 0.1)
+
     def test_weight_sampler_law(self):
         c, eps = 2.5, 0.05
         i_low, i_high = _weight_integrals(c, eps)

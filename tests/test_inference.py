@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import xlogy
+from scipy.special import gammaln, xlogy
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import lognorm, poisson
 
@@ -331,6 +331,27 @@ class TestModel:
         want = sum(m.row_loglik(i, W[i] @ theta) for i in range(6))
         assert math.isfinite(want)
         assert m.loglik(W, theta) == pytest.approx(want, rel=1e-12)
+
+    def test_float_counts_score_as_the_int_counts(self):
+        # the model scores its float64 copy of y, the doubles xlogy casts the
+        # int64 counts to, so every score is the int64 form's bit for bit,
+        # at counts exact in a double and at counts past 2**53 that round
+        top = [2**53 - 1, 2**53, 2**53 + 1, 2**53 + 3, 2**62 + 12345, 2**63 - 1]
+        y = np.array([[0, 1, 7, *top], [3, 0, 0, *top[::-1]]], dtype=np.int64)
+        g = np.random.default_rng(14)
+        rates = g.gamma(1.0, 1.0, (5, y.shape[1]))
+        rates[0, :2] = 0.0
+        rates[1, 3] = 1e300
+        m = PoissonFactorModel(y)
+        for i in range(2):
+            want = xlogy(y[i], rates)
+            got = xlogy(m._yf[i], rates)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            want -= rates
+            want -= gammaln(y[i] + 1.0)
+            assert m.row_loglik(i, rates) == np.add.reduce(want, -1).tolist()
+        want = (xlogy(y, rates[:2]) - rates[:2] - gammaln(y + 1.0)).sum()
+        assert m.loglik(np.eye(2), rates[:2]) == float(want)
 
 
 class TestChainState:
@@ -665,6 +686,88 @@ class TestEntryKernel:
         want = entry_pass(twin, model, reference=True, bank=True)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert state.rng.random() == twin.rng.random()  # same stream position
+
+    class CheckedBank(inference._EntryBank):
+        """An _EntryBank that checks each read against the mask computed
+        afresh from the state: live, differing from the entry and within the
+        int64 guard.  It counts the reads at which that fresh mask is empty
+        while a redraw is pending, and the entries the guard alone stops."""
+
+        def __init__(self, hp, M):
+            super().__init__(hp, M)
+            self.idle_pending = self.guarded = 0
+
+        def proposals(self, rng, M, sums, i):
+            pending = bool(self.stale)
+            out = super().proposals(rng, M, sums, i)
+            row, props = M[i], self.props[i]
+            live = sums > row
+            differs = live & (props != row)
+            guard = props - row <= inference._INT64_MAX - sums
+            js = (differs & guard).nonzero()[0]
+            us = self.uniforms[i, js].tolist() if js.size else []
+            assert out == (js.tolist(), props[js].tolist(), row[js].tolist(), us), i
+            self.idle_pending += pending and not live.any()
+            self.guarded += int((differs & ~guard).sum())
+            return out
+
+    @staticmethod
+    def checked_pass(state, model):
+        M = state.counts.copy()
+        sums = M.sum(axis=0)
+        bank = TestEntryKernel.CheckedBank(state.hp, M)
+        moved = [update_entry(state, model, M, sums, i, bank) for i in range(M.shape[0])]
+        assert np.array_equal(sums, M.sum(axis=0))
+        state.counts = M
+        return bank, moved
+
+    @pytest.mark.parametrize("seed", [141, 142, 143])
+    def test_bank_mask_matches_a_fresh_mask_at_every_read(self, seed):
+        # planted states above BANK_MIN, several entry passes each, so the
+        # reads follow both first draws and redraws after accepts
+        state, model = planted_state(100, 50, 16, seed)
+        assert state.counts.size >= inference.BANK_MIN
+        for _ in range(3):
+            _, moved = self.checked_pass(state, model)
+            assert sum(moved) > 10
+
+    def test_bank_mask_after_an_accept_before_a_row_with_no_live_column(self):
+        # r = 1e-300 makes every Gamma(r) variate 0.0, so every proposal is
+        # 0.  Row 50 shares column 0 with row 51 alone, and row 51 holds
+        # every other column alone; dropping row 50's entry raises its
+        # likelihood, so it is accepted, and row 51 then expresses nothing
+        # another row does.  Its kept mask still scores column 0, drawn
+        # against the sum from before the accept, so the read must not use
+        # it; the redraw comes at row 52
+        n, kappa = 100, 10
+        M = np.zeros((n, kappa), dtype=np.int64)
+        M[50, 0] = 1
+        M[51] = 1
+        W = FeatureArray.from_matrix(M)
+        hp = Hyperparams(1e-300, 1.0, 1.0)
+        state = ChainState(W, np.ones((kappa, 2)), hp, (1.0, 1.0), RngStream(144, 0))
+        y = np.zeros((n, 2), dtype=np.int64)
+        y[51] = 3
+        bank, moved = self.checked_pass(state, PoissonFactorModel(y))
+        assert moved == [i == 50 for i in range(n)]
+        assert bank.scored[51, 0]  # the kept, stale mask entry
+        assert bank.idle_pending == 1
+        assert not bank.stale  # row 52 redrew the column
+
+    def test_bank_mask_keeps_the_int64_guard(self):
+        # row 0 holds 2**63 - 10 in column 0, so the other rows' proposals
+        # there land near the 1e18 rate cap and would carry the column sum
+        # past int64: the mask leaves them out though they differ from the
+        # entry
+        state, model = planted_state(100, 50, 16, 145)
+        M = state.counts.copy()
+        M[:, 0] = 0
+        M[0, 0] = 2**63 - 10
+        state = ChainState(FeatureArray.from_matrix(M), state.Theta, state.hp, (1.0, 1.0),
+                           state.rng)
+        bank, _ = self.checked_pass(state, model)
+        assert bank.guarded == 99  # every other row's proposal in column 0
+        assert state.counts[0, 0] == 2**63 - 10
 
     def test_emptied_row_scores_on_zero_rates(self):
         # the candidate row that leaves row 0 no positive rate under its

@@ -1,10 +1,11 @@
-"""Random-stream pins: sha256 digests of nine fixed-seed runs.
+"""Random-stream pins: sha256 digests of ten fixed-seed runs.
 
 The pins cover run_chain with every kernel on (c/r slice moves included)
 from a planted n=40, V=15 truth, on its data and on a flat (y=None) model of
 the same shape, whose entry pass draws no uniforms; the same from a planted
 n=100, V=20 truth, large enough that its entry passes read their proposals
-from an entry bank; the Geweke suite's
+from an entry bank, and from a planted n=100, V=50, K=16 truth, the shape
+of the benchmark's chain-data workload; the Geweke suite's
 successive-conditional loop; `infer --synthetic --full`; `simulate` under
 the sequential, finitary and truncated constructions; and `sample` under
 the digamma, BNB and NB laws.  The chain and Geweke digests hash the hyperparameters as (r, c, T),
@@ -35,6 +36,7 @@ from nbibp.structures import FeatureArray, Hyperparams
 
 RUN_CHAIN_SHA256 = "54c76807689773b54292f19cd335b1bbacf1bbdb455d9405654d8065d66e1946"
 BANKED_CHAIN_SHA256 = "d027092ec784004ce991cdea6a84fd54ba675bc9f50857d03d5a7af88d024349"
+CHAIN_DATA_SHAPE_SHA256 = "1c03a4ab7b9392fae49e847b846ab60d085e7fbe0f4154526969814d3df13f22"
 FLAT_CHAIN_SHA256 = "fd02764c489872a491906a8c93ff15648a422c2ad18e263c82864a91f61bb982"
 GEWEKE_LOOP_SHA256 = "1dda0e6e53add49c7dc33f5b8e9510d5ddb69fa0baac9fe06df006de0e0efccd"
 INFER_FULL_SHA256 = "ea0cccf2e88da8a6be1214d919a746724b9a2a54bdedfb1894ed601d7e0fe91d"
@@ -93,6 +95,23 @@ def banked_chain_digest():
     return h.hexdigest()
 
 
+def chain_data_shape_digest():
+    """10 sweeps of every kernel, c/r slice moves included, from the planted
+    truth of an n=100, V=50, K=16 dataset, banked like banked_chain_digest."""
+    W, theta, y = _planted(100, 50, 16, 2026)
+    model = PoissonFactorModel(y)
+    rng = RngStream(34, 0)
+    init = ChainState(
+        FeatureArray.from_matrix(W), theta, Hyperparams(1.0, 1.0, 2.0), (1.0, 1.0), rng
+    )
+    h = hashlib.sha256()
+    for state in run_chain(model, init, 10, rng, ChainConfig()):
+        assert state.counts.size >= BANK_MIN
+        h.update(_state_key(state))
+        h.update(state.Theta.tobytes())
+    return h.hexdigest()
+
+
 def flat_chain_digest():
     """10 sweeps of every kernel, c/r slice moves included, of a flat-model
     chain from the planted n=40, V=15 truth of run_chain_digest."""
@@ -137,6 +156,10 @@ def test_run_chain_stream_pinned():
 
 def test_banked_chain_stream_pinned():
     assert banked_chain_digest() == BANKED_CHAIN_SHA256
+
+
+def test_chain_data_shape_stream_pinned():
+    assert chain_data_shape_digest() == CHAIN_DATA_SHAPE_SHA256
 
 
 def test_flat_chain_stream_pinned():
