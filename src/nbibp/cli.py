@@ -40,6 +40,7 @@ import json
 import sys
 
 from .distributions import (
+    RATE_CAP,
     BnbParams,
     DigammaParams,
     NbParams,
@@ -57,7 +58,7 @@ from .inference import (
     resample_counts,
     run_chain,
 )
-from .numerics import RngStream
+from .numerics import RngStream, harmonic_gap
 from .structures import (
     Hyperparams,
     array_from_json,
@@ -69,6 +70,12 @@ from .structures import (
 from .validation import SUITES, run_suites
 
 __all__ = ["main"]
+
+# The most features c T [psi(c + n r) - psi(c)] that simulate and infer let n
+# rows expect.  Every test and benchmark expects a few hundred at most; a
+# million takes seconds to open, and rates from about 9e18 on are past
+# numpy's Poisson sampler.
+FEATURE_CAP = 1e6
 
 
 def _dump(obj):
@@ -82,6 +89,15 @@ def _open_out(path):
 
 def _hyper(args):
     return Hyperparams(args.r, args.c, args.mass_T)
+
+
+def _check_features(hp, n):
+    """ValueError unless n rows expect at most FEATURE_CAP features, in the
+    product order of the draws' rates, which read NaN where c T overflows."""
+    expected = hp.c * hp.T * harmonic_gap(n * hp.r, hp.c)
+    if not expected <= FEATURE_CAP:
+        raise ValueError(f"--mass-T {hp.T:g}, --c {hp.c:g} and --r {hp.r:g} expect {expected:.3g} "
+                         f"features at n={n}, past the limit {FEATURE_CAP:g}")
 
 
 def _parse_prior(text):
@@ -106,6 +122,7 @@ def cmd_simulate(args):
     if args.construction != "finitary" and args.n < 1:
         raise ValueError("--n must be >= 1")
     hp = _hyper(args)
+    _check_features(hp, args.n if args.construction != "finitary" else 1)
     with _open_out(args.out) as out:
         kappas = []
         row_feats = []
@@ -229,7 +246,12 @@ def cmd_infer(args):
     truth = None
     if args.synthetic:
         template = PoissonFactorModel(None, args.a_theta, args.b_theta, n=args.n, V=args.V)
+        _check_features(hp, args.n)
         gen = prior_state(template, hp, t_prior, rng)
+        top = float((gen.counts @ gen.Theta).max(initial=0.0))
+        if not top < RATE_CAP:
+            raise ValueError(f"--a-theta {args.a_theta:g} and --b-theta {args.b_theta:g} give a "
+                             f"synthetic Poisson rate of {top:.3g}, past the limit {RATE_CAP:g}")
         y = resample_counts(gen, template, rng).y
         truth = {
             "kind": "truth",
@@ -240,6 +262,7 @@ def cmd_infer(args):
     else:
         y = _load_counts(args.in_path)
     model = PoissonFactorModel(y, args.a_theta, args.b_theta)
+    _check_features(hp, model.n)
     c_prior, r_prior = _parse_prior(args.c_prior), _parse_prior(args.r_prior)
     config = ChainConfig(
         conc=c_prior is not None,

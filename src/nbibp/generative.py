@@ -119,9 +119,9 @@ _LOG_TINY = math.log(sys.float_info.min)
 
 def _quad_result(out, where):
     """The value of a full_output quad result, or RuntimeError unless the
-    value is finite and its error estimate is at most 1e-10 (a NaN estimate
-    fails the comparison)."""
-    if not (math.isfinite(out[0]) and out[1] <= 1e-10):
+    value is finite and its error estimate is at most 1e-10, relative to the
+    value past 1 and absolute below (a NaN estimate fails the comparison)."""
+    if not (math.isfinite(out[0]) and out[1] <= 1e-10 * max(1.0, abs(out[0]))):
         raise RuntimeError(
             f"weight-measure quadrature failed near {where}: value={out[0]!r}, abserr={out[1]!r}"
         )
@@ -136,12 +136,28 @@ def _weight_integrals(c, epsilon):
     I_high is at most (1 - lo)^c / (c lo), lo = max(eps, 1/2).  Where that
     bound is below the least normal double, I_high is 0.0, with no
     quadrature: the algebraic-weight rule returns NaN there from c of about
-    1040 on.  A large c thus gives both pieces about 0 and no atoms."""
+    1040 on.  A large c thus gives both pieces about 0 and no atoms.  Below
+    c = 1/2, c - 1 rounds, and below about 1e-16 to -1, which the rule
+    refuses; there, in u = 1 - p, I_high is w^c / c plus the integral of
+    u^c / (1 - u) over (0, w), w = 1 - lo, whose weight u^c is exact."""
     from scipy.integrate import quad  # imported on use: only the truncated oracle integrates
 
     lo = max(epsilon, 0.5)
     i_high = 0.0
-    if c * math.log1p(-lo) - math.log(c * lo) >= _LOG_TINY:
+    if c < 0.5:
+        w = 1.0 - lo
+        out = quad(
+            lambda u: 1.0 / (1.0 - u),
+            0.0,
+            w,
+            weight="alg",
+            wvar=(c, 0.0),
+            epsabs=1e-12,
+            epsrel=1e-12,
+            full_output=1,
+        )
+        i_high = _quad_result((w**c / c + out[0], out[1]), 1)
+    elif c * math.log1p(-lo) - math.log(c * lo) >= _LOG_TINY:
         out = quad(
             lambda p: 1.0 / p,
             lo,

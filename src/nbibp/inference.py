@@ -21,10 +21,11 @@ so a chain started there moves on instead of failing.
 The chain holds W as one read-only int64 n-by-kappa count matrix,
 ChainState.counts; a sweep replaces it rather than changing it in place.
 Every reader in this module goes through the counts: the kernels, log_joint
-(whose array term takes the c/r moves' route, _log_pmf_of on the columns)
-and chain_record.  ChainState.W, the FeatureArray built from the counts on
-first read and kept until the next replacement, serves callers that want
-the array view.  The entry and singleton passes run on a writable copy
+(whose array term takes the c/r moves' route, _log_pmf_of on the columns),
+chain_record, and run_chain, which starts from a snapshot of its init.
+ChainState.W, the FeatureArray built from the counts on first read and kept
+until the next replacement, is built only for a caller that reads it; no
+code here does.  The entry and singleton passes run on a writable copy
 of the matrix with its column sums, which becomes the state's matrix after
 both passes.  The two kernels work on that copy: update_entry refreshes one
 row's shared entries, taking all of the row's proposals first and scoring
@@ -189,13 +190,9 @@ class ChainState:
 
     def snapshot(self):
         """A copy that later moves of this state leave alone: it shares the
-        read-only counts and their FeatureArray, and owns a copy of Theta
-        and an empty workspace."""
+        read-only counts, and their FeatureArray once that has been read, and
+        owns a copy of Theta and an empty workspace."""
         twin = copy.copy(self)
-        # built here, between sweeps, for both states: the benchmark's span
-        # tracer reads the live state's W inside kernel spans, where a build
-        # would open its spans before the kernel's clock starts
-        twin._W = self.W
         twin.Theta, twin._weights = self.Theta.copy(), np.empty(0)
         return twin
 
@@ -250,10 +247,12 @@ class ChainConfig:
 
 
 def _check_fit(state, model):
-    """ValueError unless W has the model's n rows and Theta its V columns."""
-    n, width = state.counts.shape[0], state.Theta.shape[1]
-    if (n, width) != (model.n, model.V):
-        raise ValueError(f"state has n={n}, width {width}; the model has n={model.n}, V={model.V}")
+    """ValueError unless W has the model's n rows and Theta its V columns and
+    one row per column of W."""
+    (n, kappa), (rows, width) = state.counts.shape, state.Theta.shape
+    if (n, width, rows) != (model.n, model.V, kappa):
+        raise ValueError(f"state has n={n}, width {width}, {rows} factor rows for kappa={kappa}; "
+                         f"the model has n={model.n}, V={model.V}")
 
 
 def log_joint(state, model):
@@ -326,7 +325,7 @@ class _EntryBank:
     the int64 guard.  Those tests read only the entry, which no earlier row
     moves, and its column sum, which only an accept moves and which marks
     the column; so with no column marked, a row's mask is exact, and a read
-    is one nonzero on it and three gathers.  A read with columns marked
+    is one nonzero on it and two gathers.  A read with columns marked
     first asks whether the row expresses anything another row does, and
     reads nothing, leaving the mark, if not.
     """
@@ -339,12 +338,11 @@ class _EntryBank:
         self.scored = np.zeros(M.shape, dtype=bool)
 
     def proposals(self, rng, M, sums, i):
-        """Row i's scored entries in column order, as four lists: columns,
-        proposals, entries and uniforms; all empty for a row that scores
-        nothing."""
+        """Row i's scored entries in column order, as three lists: columns,
+        proposals and uniforms; all empty for a row that scores nothing."""
         if self.stale:
             if not (sums > M[i]).any():
-                return [], [], [], []
+                return [], [], []
             if self.gammas is None:
                 self.gammas = rng.standard_gamma(self.r, M.shape)
                 self.uniforms = rng.random(M.shape)
@@ -361,8 +359,7 @@ class _EntryBank:
             self.props[i:, js] = props
             self.scored[i:, js] = drawn & (props != olds) & (props - olds <= room)
         js = self.scored[i].nonzero()[0]
-        props, olds, us = self.props[i, js], M[i, js], self.uniforms[i, js]
-        return js.tolist(), props.tolist(), olds.tolist(), us.tolist()
+        return js.tolist(), self.props[i, js].tolist(), self.uniforms[i, js].tolist()
 
 
 def update_entry(state, model, M, sums, i, _bank=None):
@@ -393,19 +390,20 @@ def update_entry(state, model, M, sums, i, _bank=None):
     Poisson count; with data, each scored proposal's uniform is drawn right
     after it.  A row with no such column draws nothing, from either source.
 
-    Either source hands over the scored proposals as four lists: columns,
-    proposals, entries and uniforms.  They are decided in order against one
-    block of candidate rows: the row as it stands, then the row with each
-    proposal's entry set.  The block takes one product with Theta and one
-    row_loglik call, and is rebuilt for the proposals that follow an accept.
-    One loop over the block's log-likelihoods makes _accept's comparison on
-    each in turn.  Every candidate's rates come from a fresh product, so an
-    unsupported rate reads exactly 0.
+    Either source hands over the scored proposals as three lists: columns,
+    proposals and uniforms.  They are decided in order against one block of
+    candidate rows: the row as it stands, then the row with each proposal's
+    entry set.  The block takes one product with Theta and one row_loglik
+    call, and is rebuilt for the proposals that follow an accept.  One loop
+    over the block's log-likelihoods makes _accept's comparison on each in
+    turn.  An accept reads the old entry from the row, which no earlier
+    accept has moved in that column.  Every candidate's rates come from a
+    fresh product, so an unsupported rate reads exactly 0.
     """
     hp, rng, theta = state.hp, state.rng, state.Theta
     row = M[i]
     if _bank is not None:
-        js, props, olds, us = _bank.proposals(rng, M, sums, i)
+        js, props, us = _bank.proposals(rng, M, sums, i)
     else:
         cols = (sums > row).nonzero()[0]
         if not cols.size:
@@ -415,14 +413,13 @@ def update_entry(state, model, M, sums, i, _bank=None):
         entries = row[cols]
         gammas = rng.standard_gamma(r, cols.size).tolist()
         rests = (sums[cols] - entries).tolist()
-        js, props, olds, us = [], [], [], []
+        js, props, us = [], [], []
         for j, old, rest, g in zip(cols.tolist(), entries.tolist(), rests, gammas):
             prop = _nb_draw(r, beta(rest, tail), rng, g)
             if prop == old or (prop > old and rest + prop >= 2**63):
                 continue
             js.append(j)
             props.append(prop)
-            olds.append(old)
             if data:
                 us.append(rng.random())
     moved, k = False, 0
@@ -441,8 +438,8 @@ def update_entry(state, model, M, sums, i, _bank=None):
             if ll != -math.inf and not (new - ll >= 0.0 or us[t] < math.exp(new - ll)):
                 continue
             j = js[t]
+            sums[j] += props[t] - row[j]
             row[j] = props[t]
-            sums[j] += props[t] - olds[t]
             moved = True
             if _bank is not None:
                 _bank.stale.add(j)
@@ -634,7 +631,8 @@ def run_chain(model, init, sweeps, rng, config=ChainConfig()):
     if sweeps != int(sweeps) or sweeps < 0:
         raise ValueError(f"sweeps must be an integer >= 0, got {sweeps!r}")
     _check_fit(init, model)
-    state = ChainState(init.W, init.Theta.copy(), init.hp, init.t_prior, rng)
+    state = init.snapshot()
+    state.rng = rng
     yield state.snapshot()
     for sweep in range(1, int(sweeps) + 1):
         sweep_once(state, model, config)

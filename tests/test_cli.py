@@ -517,6 +517,59 @@ class TestErrorBoundary:
             assert code == 0 and captured.err == "", c
             assert json.loads(captured.out.splitlines()[0])["columns"] == [], c
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--c", "1e-300"], ["--c", "1e-10"],
+         ["--c", "1e4", "--epsilon", "1e-300", "--mass-T", "1e-4"]],
+        ids=["c-1e-300", "c-1e-10", "epsilon-1e-300"],
+    )
+    def test_truncated_construction_at_small_concentration_and_cutoff(self, capsys, flags):
+        # c - 1 rounds to -1 below c of about 1e-16, which the upper piece's
+        # algebraic weight refused, and rounds enough at 1e-10 to fail its
+        # error gate; at epsilon 1e-300 the lower piece's error estimate
+        # failed an absolute 1e-10 gate though it is 5.5e-13 of the value
+        code = cli.main(["simulate", "--construction", "truncated", *flags, "--n", "2",
+                         "--reps", "3", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert len(captured.out.splitlines()) == 4
+
+    def test_expected_feature_count_limited(self, tmp_path, capsys):
+        # n rows expect c T [psi(c + n r) - psi(c)] features.  At mass 1e19
+        # the buffet's Poisson rate was past numpy's sampler ("lam value too
+        # large"), at 1e18 it opened about 1e18 dishes and ran for minutes,
+        # and infer's draws from the prior meet the same rates
+        path = tmp_path / "y.json"
+        path.write_text(json.dumps([[1, 0], [0, 2]]))
+        runs = [
+            ["simulate", "--n", "2", "--reps", "1", "--seed", "1", "--mass-T", "1e19"],
+            ["simulate", "--n", "2", "--reps", "1", "--seed", "1", "--mass-T", "1e18"],
+            ["simulate", "--construction", "finitary", "--seed", "1", "--mass-T", "1e7"],
+            ["simulate", "--construction", "truncated", "--n", "2", "--seed", "1",
+             "--c", "1e-300", "--mass-T", "1e300"],
+            ["infer", "--synthetic", "--seed", "1", "--mass-T", "1e300"],
+            ["infer", "--in", str(path), "--seed", "1", "--mass-T", "1e7"],
+        ]
+        for argv in runs:
+            assert cli.main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            [line] = captured.err.splitlines()
+            assert line.startswith("nbibp: error: --mass-T "), line
+            assert line.endswith(" past the limit 1e+06"), line
+        assert cli.FEATURE_CAP == 1e6
+
+    def test_synthetic_rates_limited(self, capsys):
+        # a Gamma(1, 1e-300) factor row puts the rates W Theta near 1e300,
+        # past numpy's Poisson sampler; they are checked before y is drawn
+        code = cli.main(["infer", "--synthetic", "--n", "3", "--V", "2", "--sweeps", "1",
+                         "--seed", "1", "--b-theta", "1e-300"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("nbibp: error: --a-theta 1 and --b-theta 1e-300 give "), line
+        assert line.endswith(" past the limit 1e+18"), line
+
     def test_json_counts_must_be_integers(self, tmp_path, capsys):
         # JSON input reaches the model's integer check uncast, as text input does
         path = tmp_path / "y.json"

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 
@@ -267,6 +268,35 @@ class TestWeightMeasure:
                 assert math.isfinite(i_low) and i_low >= 0.0, (c, eps)
         arr = truncated_oracle_simulate(2, Hyperparams(1.0, 1e20, 1.0), 1e-3, RngStream(27, 0))
         assert arr.kappa == 0
+
+    def test_small_concentration_upper_piece(self):
+        # below c = 1/2, c - 1 rounds in the algebraic weight: at 1e-10 the
+        # estimate failed its gate, and below about 1e-16 c - 1 is -1, which
+        # quad refused ("The input is invalid.").  The piece is w^c / c plus
+        # the integral of u^c / (1 - u) over (0, w), here at 40 digits
+        for c in (1e-300, 1e-17, 1e-10, 0.3):
+            for eps in (1e-3, 0.6):
+                with mpmath.workdps(40):
+                    C, w = mpmath.mpf(c), 1 - mpmath.mpf(max(eps, 0.5))
+                    want = w**C / C + mpmath.quad(lambda u: u**C / (1 - u), [0, w])
+                got = _weight_integrals(c, eps)[1]
+                assert got == pytest.approx(float(want), rel=1e-13), (c, eps)
+
+    def test_error_estimate_gated_relative_to_the_value(self):
+        # at c = 1e4 and epsilon 1e-300 the lower piece is about 681 with an
+        # error estimate of 3.75e-10, 5.5e-13 of the value, which the
+        # absolute 1e-10 gate refused
+        with mpmath.workdps(30):
+            C = mpmath.mpf(1e4)
+            want = mpmath.quad(
+                lambda t: mpmath.exp((C - 1) * mpmath.log1p(-mpmath.exp(t))),
+                [mpmath.log(mpmath.mpf(1e-300)), -20, -9, -5, mpmath.log(0.5)],
+            )
+        assert _weight_integrals(1e4, 1e-300) == (pytest.approx(float(want), rel=1e-12), 0.0)
+        assert generative._quad_result((681.0, 3.75e-10, {}), 0) == 681.0
+        for out in ((0.5, 2e-10, {}), (681.0, 1e-7, {})):  # 1e-10 absolute up to 1
+            with pytest.raises(RuntimeError, match="quadrature failed near 0"):
+                generative._quad_result(out, 0)
 
     def test_failed_quadrature_refused(self, monkeypatch):
         # a NaN value or error estimate fails the check, as a large one does

@@ -706,7 +706,7 @@ class TestEntryKernel:
             guard = props - row <= inference._INT64_MAX - sums
             js = (differs & guard).nonzero()[0]
             us = self.uniforms[i, js].tolist() if js.size else []
-            assert out == (js.tolist(), props[js].tolist(), row[js].tolist(), us), i
+            assert out == (js.tolist(), props[js].tolist(), us), i
             self.idle_pending += pending and not live.any()
             self.guarded += int((differs & ~guard).sum())
             return out
@@ -1159,10 +1159,12 @@ class TestSweepStructure:
         assert all(seen[kind, True] > 0 for kind in ("birth", "death")), seen
 
     def test_log_joint_and_full_record_build_no_array(self, monkeypatch):
-        # both read the count matrix of a state fresh from a sweep; W is
-        # built on its first read after them, and equals the record's W
+        # both read the count matrix of a state fresh from a sweep, and the
+        # states run_chain emits carry no array either; W is built on its
+        # first read after them, and equals the record's W
         state, model = planted_state(40, 15, 8, 134)
         sweep_once(state, model, ChainConfig())
+        init, _ = planted_state(40, 15, 8, 135)
         builds = Counter()
         post_init, unchecked = FeatureArray.__post_init__, FeatureArray._unchecked.__func__
 
@@ -1183,6 +1185,13 @@ class TestSweepStructure:
         assert rec["W"] == [list(col) for col in state.W.columns]
         assert rec["Theta"] == state.Theta.tolist()
         assert builds["array"] == 1
+        emitted = list(run_chain(model, init, 3, init.rng))
+        assert builds["array"] == 1
+        assert emitted[0].W is init.W  # the init's array, built before the chain
+        swept = [snap.W for snap in emitted[1:]]
+        assert builds["array"] == 4
+        for snap, W in zip(emitted[1:], swept):
+            assert W == FeatureArray.from_matrix(snap.counts)
 
 
 class TestMassKernel:
@@ -1421,17 +1430,23 @@ class TestChainDriver:
     def test_misfit_states_refused_on_entry(self):
         # each once got past its entry point: resample_counts returned a
         # model of the state's shape, not the model's, and sweep_once stopped
-        # in numpy on too few rows (IndexError) or too wide a Theta (broadcast)
+        # in numpy on too few rows (IndexError) or too wide a Theta
+        # (broadcast).  A Theta reassigned with a row too many reached
+        # numpy's matmul check in all four, sweep_once after drawing
         hp = Hyperparams(1.0, 1.0, 1.0)
+        fits = PoissonFactorModel([[2, 1]])
         cases = [
-            (resample_counts, 4, PoissonFactorModel(None, n=3, V=2)),
-            (sweep_once, 2, PoissonFactorModel([[1, 0], [0, 2], [3, 1]])),
-            (sweep_once, 3, PoissonFactorModel([[2, 1]])),
+            (resample_counts, 4, 1, PoissonFactorModel(None, n=3, V=2)),
+            (sweep_once, 2, 1, PoissonFactorModel([[1, 0], [0, 2], [3, 1]])),
+            (sweep_once, 3, 1, fits),
+            *((kernel, 2, 2, fits) for kernel in (sweep_once, log_joint, resample_counts)),
+            (lambda state, model: next(run_chain(model, state, 1, state.rng)), 2, 2, fits),
         ]
-        for seed, (kernel, width, model) in enumerate(cases):
+        for seed, (kernel, width, rows, model) in enumerate(cases):
             state = ChainState(FeatureArray(1, ((2,),)), np.ones((1, width)), hp, (1.0, 1.0),
                                RngStream(seed, 0))
-            with pytest.raises(ValueError, match="^state has n=1, width "):
+            state.Theta = np.ones((rows, width))
+            with pytest.raises(ValueError, match=f"^state has n=1, width {width}, {rows} factor "):
                 kernel(state, model)
             assert state.rng.random() == RngStream(seed, 0).random()  # no draw taken
 

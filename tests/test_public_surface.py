@@ -242,9 +242,9 @@ def test_tracer_counts_one_call_per_banked_row(monkeypatch):
 
 def test_traced_spans_have_no_negative_times():
     # the tracer reads state.W between pushing a kernel's span and starting
-    # its clock, so a W built on that read would nest a span before its
-    # parent began; a memoised W is built where the state is read between
-    # sweeps, by the snapshot or the caller, and not inside that slot
+    # its clock; a W built on that read goes through FeatureArray._unchecked,
+    # which skips the __post_init__ the tracer wraps, so it nests no span
+    # before its parent began
     spans = load_spans()
     hp = Hyperparams(1.0, 1.0, 2.0)
     W = FeatureArray(4, ((1, 0, 2, 0), (0, 1, 1, 3), (2, 0, 0, 1)))
@@ -278,9 +278,10 @@ def test_traced_spans_have_no_negative_times():
 
 def test_no_unused_imports():
     # no linter ships with the package, so this gate stands in for one: every
-    # name an import binds in a module must be read somewhere in that module
-    paths = sorted((ROOT / "src" / "nbibp").glob("*.py"))
-    assert paths
+    # name an import binds in a module or a test file must be read somewhere
+    # in that file
+    paths = sorted((ROOT / "src" / "nbibp").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert ROOT / "tests" / "test_public_surface.py" in paths
     for path in paths:
         if path.name == "__init__.py":  # its imports are the re-exports
             continue
@@ -301,14 +302,15 @@ def test_no_unused_imports():
 
 def test_chain_array_read_only_through_counts():
     # the chain's array is its count matrix; the FeatureArray view W stays
-    # for the benchmark, which reads it, and inside the package only the
-    # state itself and run_chain, which copies its init, read it
-    allowed = {"inference.ChainState", "inference.run_chain"}
-    readers = set()
+    # for the benchmark, which reads it, and no top-level definition in the
+    # package reads it
+    def readers(source):
+        return {
+            getattr(top, "name", None)
+            for top in ast.parse(source).body
+            if any(isinstance(node, ast.Attribute) and node.attr == "W" for node in ast.walk(top))
+        }
+
+    assert readers("class S:\n    def f(self):\n        return self.W\n") == {"S"}
     for path in sorted((ROOT / "src" / "nbibp").glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            name = getattr(top, "name", None)
-            if any(isinstance(node, ast.Attribute) and node.attr == "W" for node in ast.walk(top)):
-                readers.add(f"{path.stem}.{name}")
-    assert "inference.run_chain" in readers  # the walk sees the reads it allows
-    assert readers - allowed == set()
+        assert readers(path.read_text()) == set(), path.name
