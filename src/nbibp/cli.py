@@ -48,7 +48,12 @@ from .distributions import (
     digamma_sample,
     nb_sample,
 )
-from .generative import bnbp_sample_finitary, nbibp_simulate, truncated_oracle_simulate
+from .generative import (
+    _weight_integrals,
+    bnbp_sample_finitary,
+    nbibp_simulate,
+    truncated_oracle_simulate,
+)
 from .inference import (
     ChainConfig,
     HyperPrior,
@@ -72,9 +77,10 @@ from .validation import SUITES, run_suites
 __all__ = ["main"]
 
 # The most features c T [psi(c + n r) - psi(c)] that simulate and infer let n
-# rows expect.  Every test and benchmark expects a few hundred at most; a
-# million takes seconds to open, and rates from about 9e18 on are past
-# numpy's Poisson sampler.
+# rows expect, and the most atoms c T (I_low + I_high) that the truncated
+# construction may expect.  Every test and benchmark expects a few thousand
+# at most; a million takes seconds to open, and rates from about 9e18 on are
+# past numpy's Poisson sampler.
 FEATURE_CAP = 1e6
 
 
@@ -123,6 +129,13 @@ def cmd_simulate(args):
         raise ValueError("--n must be >= 1")
     hp = _hyper(args)
     _check_features(hp, args.n if args.construction != "finitary" else 1)
+    if args.construction == "truncated":
+        # the epsilon cut keeps far more atoms than features at large c
+        i_low, i_high = _weight_integrals(hp.c, args.epsilon)
+        atoms = hp.c * hp.T * (i_low + i_high)
+        if not atoms <= FEATURE_CAP:
+            raise ValueError(f"--c {hp.c:g}, --epsilon {args.epsilon:g} and --mass-T {hp.T:g} "
+                             f"expect {atoms:.3g} atoms, past the limit {FEATURE_CAP:g}")
     with _open_out(args.out) as out:
         kappas = []
         row_feats = []

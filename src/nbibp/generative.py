@@ -28,7 +28,6 @@ Three routes produce draws from the same law:
 """
 
 import math
-import sys
 from functools import lru_cache
 
 from .distributions import (
@@ -112,16 +111,11 @@ def bnbp_sample_finitary(hp, rng, fixed_atoms=()):
 # truncated hierarchical oracle
 
 
-# log of the least normal double: an upper piece whose bound falls below it
-# is 0.0 to double precision
-_LOG_TINY = math.log(sys.float_info.min)
-
-
 def _quad_result(out, where):
     """The value of a full_output quad result, or RuntimeError unless the
-    value is finite and its error estimate is at most 1e-10, relative to the
-    value past 1 and absolute below (a NaN estimate fails the comparison)."""
-    if not (math.isfinite(out[0]) and out[1] <= 1e-10 * max(1.0, abs(out[0]))):
+    value is finite and its error estimate is at most 1e-10 of it (a NaN
+    estimate fails the comparison)."""
+    if not (math.isfinite(out[0]) and out[1] <= 1e-10 * abs(out[0])):
         raise RuntimeError(
             f"weight-measure quadrature failed near {where}: value={out[0]!r}, abserr={out[1]!r}"
         )
@@ -133,50 +127,31 @@ def _weight_integrals(c, epsilon):
     """(I_low, I_high): integral of p^{-1} (1-p)^{c-1} over (eps, 1/2] and
     (max(eps, 1/2), 1).
 
-    I_high is at most (1 - lo)^c / (c lo), lo = max(eps, 1/2).  Where that
-    bound is below the least normal double, I_high is 0.0, with no
-    quadrature: the algebraic-weight rule returns NaN there from c of about
-    1040 on.  A large c thus gives both pieces about 0 and no atoms.  Below
-    c = 1/2, c - 1 rounds, and below about 1e-16 to -1, which the rule
-    refuses; there, in u = 1 - p, I_high is w^c / c plus the integral of
-    u^c / (1 - u) over (0, w), w = 1 - lo, whose weight u^c is exact."""
+    In u = 1 - p, I_high is the incomplete beta B_w(c, 0), w = 1 - max(eps,
+    1/2), whose series sum_k w^{c+k} / (c+k) (DLMF 8.17(ii)) has terms at
+    most 2^-k of the first, so 64 of them leave less than 2^-63 of the sum
+    at any c; a value below the least normal double comes out subnormal or
+    0.0.  Below c of about 5.6e-309, 1/c overflows, which is refused.  I_low
+    is one quadrature in t = log p, up to where its integrand underflows,
+    gated relative to its value however small."""
     from scipy.integrate import quad  # imported on use: only the truncated oracle integrates
 
-    lo = max(epsilon, 0.5)
-    i_high = 0.0
-    if c < 0.5:
-        w = 1.0 - lo
-        out = quad(
-            lambda u: 1.0 / (1.0 - u),
-            0.0,
-            w,
-            weight="alg",
-            wvar=(c, 0.0),
-            epsabs=1e-12,
-            epsrel=1e-12,
-            full_output=1,
-        )
-        i_high = _quad_result((w**c / c + out[0], out[1]), 1)
-    elif c * math.log1p(-lo) - math.log(c * lo) >= _LOG_TINY:
-        out = quad(
-            lambda p: 1.0 / p,
-            lo,
-            1.0,
-            weight="alg",
-            wvar=(0.0, c - 1.0),
-            epsabs=1e-12,
-            epsrel=1e-12,
-            full_output=1,
-        )
-        i_high = _quad_result(out, 1)
+    w = 1.0 - max(epsilon, 0.5)
+    i_high = math.fsum(w ** (c + k) / (c + k) for k in range(64))
+    if not math.isfinite(i_high):
+        raise RuntimeError(f"the upper weight piece overflows at c={c!r}")
+    # past p = 800 / c, below 1/2 from c = 1600 on, (1 - p)^{c-1} < e^-799
+    # is 0.0; a long run of zeros defeats quad's extrapolation, whose
+    # estimate then fails the gate though the value is right
+    top = min(0.5, 800.0 / c)
     i_low = 0.0
-    if epsilon < 0.5:
+    if epsilon < top:
         # in t = log p the lower piece is smooth and bounded
         out = quad(
             lambda t: math.exp((c - 1.0) * math.log1p(-math.exp(t))),
             math.log(epsilon),
-            math.log(0.5),
-            epsabs=1e-12,
+            math.log(top),
+            epsabs=0.0,
             epsrel=1e-12,
             limit=200,
             full_output=1,

@@ -505,9 +505,10 @@ class TestErrorBoundary:
         assert capsys.readouterr().err.splitlines() == [f"nbibp: error: {path}: {message}"]
 
     def test_truncated_construction_at_large_concentration(self, capsys):
-        # the upper weight piece's quadrature returns NaN from c of about
-        # 1040 on; the piece is 0.0 to double precision there, so these runs
-        # draw no atoms instead of handing numpy a NaN Poisson rate
+        # the upper weight piece underflows to 0.0 here and the atoms' weights
+        # are small, so at seed 1 these runs keep no column; an algebraic-
+        # weight quadrature of that piece returned NaN from c of about 1040
+        # on and handed numpy a NaN Poisson rate
         for c in ("1e4", "1e20", "1e200"):
             code = cli.main(
                 ["simulate", "--construction", "truncated", "--c", c, "--n", "2",
@@ -524,15 +525,35 @@ class TestErrorBoundary:
         ids=["c-1e-300", "c-1e-10", "epsilon-1e-300"],
     )
     def test_truncated_construction_at_small_concentration_and_cutoff(self, capsys, flags):
-        # c - 1 rounds to -1 below c of about 1e-16, which the upper piece's
-        # algebraic weight refused, and rounds enough at 1e-10 to fail its
-        # error gate; at epsilon 1e-300 the lower piece's error estimate
-        # failed an absolute 1e-10 gate though it is 5.5e-13 of the value
+        # the upper piece's series has no c - 1, which rounds to -1 below c
+        # of about 1e-16 and which an algebraic-weight quadrature refused;
+        # at epsilon 1e-300 the lower piece's error estimate is 5.5e-13 of
+        # its value, within the relative gate
         code = cli.main(["simulate", "--construction", "truncated", *flags, "--n", "2",
                          "--reps", "3", "--seed", "1"])
         captured = capsys.readouterr()
         assert code == 0 and captured.err == ""
         assert len(captured.out.splitlines()) == 4
+
+    def test_truncated_atom_count_limited(self, capsys):
+        # the epsilon cut keeps c T (I_low + I_high) atoms, far more than the
+        # features n rows expect at large c and small epsilon: the first run
+        # drew about 6.8e6 atoms in 41 s for kappa = 0, and the second handed
+        # numpy a rate past its Poisson sampler ("lam value too large")
+        runs = [
+            ["--c", "1e4", "--epsilon", "1e-300"],
+            ["--c", "1e6", "--epsilon", "1e-300", "--mass-T", "1e13", "--r", "1e-10"],
+        ]
+        for flags in runs:
+            argv = ["simulate", "--construction", "truncated", *flags, "--n", "2", "--reps", "1",
+                    "--seed", "1"]
+            assert cli.main(argv) == 2, flags
+            captured = capsys.readouterr()
+            assert captured.out == "", flags
+            [line] = captured.err.splitlines()
+            assert line.startswith("nbibp: error: --c "), line
+            assert "--epsilon 1e-300 and --mass-T " in line, line
+            assert line.endswith(" atoms, past the limit 1e+06"), line
 
     def test_expected_feature_count_limited(self, tmp_path, capsys):
         # n rows expect c T [psi(c + n r) - psi(c)] features.  At mass 1e19

@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 
 import mpmath
@@ -255,25 +256,52 @@ class TestWeightMeasure:
             with pytest.raises(ValueError):
                 truncated_oracle_simulate(2, hp, bad, RngStream(29, 0))
 
-    def test_large_concentration_pieces_are_finite(self):
-        # the upper piece's bound (1 - lo)^c / (c lo) is below the least
-        # normal double from c of about 1013 at lo = 1/2; there the piece is
-        # 0.0 (the quadrature returned NaN from c of about 1040), and below
-        # it the quadrature value stands
-        assert _weight_integrals(1e3, 1e-3)[1] == pytest.approx(1.2612333375034905e-304, rel=1e-6)
-        for c in (1041.0, 1e4, 1e6, 1e20, 1e300):
-            for eps in (1e-3, 0.6):
-                i_low, i_high = _weight_integrals(c, eps)
-                assert i_high == 0.0, (c, eps)
-                assert math.isfinite(i_low) and i_low >= 0.0, (c, eps)
-        arr = truncated_oracle_simulate(2, Hyperparams(1.0, 1e20, 1.0), 1e-3, RngStream(27, 0))
-        assert arr.kappa == 0
+    def test_pieces_match_mpmath_over_grid(self):
+        # the upper piece against the incomplete beta B_w(c, 0), w = 1 -
+        # max(eps, 1/2); the lower against a 40-digit quadrature in t = log p,
+        # scaled by its integrand at t = log eps and split around t = -log c,
+        # where the integrand falls.  The incomplete-beta difference
+        # B_{1-eps}(c, 0) - B_{1/2}(c, 0) is no reference here: it needs
+        # 1 - eps held exactly at eps = 1e-300, cancels at c = 1e-300, and
+        # at 60 digits reads e^-1 for E1(1) at c = 1e300.  Relative 1e-12
+        # where the reference is a normal double, within 1e-320 where not
+        def lower(C, eps):
+            a, b = mpmath.log(eps), mpmath.log(mpmath.mpf(0.5))
+            knots = [a, *(k for k in (-mpmath.log(C) + d for d in (-2, 0, 2, 4)) if a < k < b), b]
+            top = (C - 1) * mpmath.log1p(-eps)
+            return mpmath.exp(top) * mpmath.quad(
+                lambda t: mpmath.exp((C - 1) * mpmath.log1p(-mpmath.exp(t)) - top), knots
+            )
+
+        for c in (1e-300, 1e-10, 0.3, 1.0, 2.5, 100.0, 1e3, 1041.0, 1e4, 1e300):
+            for eps in (1e-300, 1e-3, 0.1, 0.3, 0.6, 0.999):
+                C, E = mpmath.mpf(c), mpmath.mpf(eps)
+                with mpmath.workdps(60):
+                    want_high = float(mpmath.betainc(C, 0, 0, 1 - max(E, mpmath.mpf(0.5))))
+                with mpmath.workdps(40):
+                    want_low = float(lower(C, E)) if eps < 0.5 else 0.0
+                got_low, got_high = _weight_integrals(c, eps)
+                for got, want in ((got_low, want_low), (got_high, want_high)):
+                    if want >= sys.float_info.min:
+                        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (c, eps)
+                    else:
+                        assert got == pytest.approx(want, rel=0.0, abs=1e-320), (c, eps)
+        # where c eps is a few hundred and c is large, the lower integrand
+        # is 0.0 over most of (log eps, log 1/2), which left quad's error
+        # estimate past the gate (7e-5 of the value at the second pair)
+        for c, eps in ((1e80, 5e-78), (5.6e251, 3.6e-250)):
+            with mpmath.workdps(40):
+                want = float(lower(mpmath.mpf(c), mpmath.mpf(eps)))
+            assert _weight_integrals(c, eps)[0] == pytest.approx(want, rel=1e-10, abs=0.0)
+        # the algebraic-weight quadrature read this one 32% low, 1.2612e-304
+        high = _weight_integrals(1e3, 1e-3)[1]
+        assert high == pytest.approx(1.8646662852252767e-304, rel=1e-12, abs=0.0)
 
     def test_small_concentration_upper_piece(self):
-        # below c = 1/2, c - 1 rounds in the algebraic weight: at 1e-10 the
-        # estimate failed its gate, and below about 1e-16 c - 1 is -1, which
-        # quad refused ("The input is invalid.").  The piece is w^c / c plus
-        # the integral of u^c / (1 - u) over (0, w), here at 40 digits
+        # the series against a second form of the piece, w^c / c plus the
+        # integral of u^c / (1 - u) over (0, w), at 40 digits.  An algebraic
+        # weight in c - 1, which rounds below c = 1/2, failed its error gate
+        # at c = 1e-10 and was refused by quad from about 1e-16 down
         for c in (1e-300, 1e-17, 1e-10, 0.3):
             for eps in (1e-3, 0.6):
                 with mpmath.workdps(40):
@@ -281,6 +309,10 @@ class TestWeightMeasure:
                     want = w**C / C + mpmath.quad(lambda u: u**C / (1 - u), [0, w])
                 got = _weight_integrals(c, eps)[1]
                 assert got == pytest.approx(float(want), rel=1e-13), (c, eps)
+        # below c of about 5.6e-309, 1/c and so the piece overflow
+        for c in (5e-309, 5e-324):
+            with pytest.raises(RuntimeError, match="upper weight piece overflows"):
+                _weight_integrals(c, 0.6)
 
     def test_error_estimate_gated_relative_to_the_value(self):
         # at c = 1e4 and epsilon 1e-300 the lower piece is about 681 with an
@@ -299,18 +331,12 @@ class TestWeightMeasure:
                 generative._quad_result(out, 0)
 
     def test_failed_quadrature_refused(self, monkeypatch):
-        # a NaN value or error estimate fails the check, as a large one does
+        # a NaN value or error estimate fails the check, as a large one does;
+        # only the lower piece integrates
         import scipy.integrate
 
         for out in ((math.nan, math.nan, {}), (1.0, math.nan, {}), (math.nan, 0.0, {})):
-            # the upper piece, then the lower with a sound upper piece
             monkeypatch.setattr(scipy.integrate, "quad", lambda *a, out=out, **k: out)
-            with pytest.raises(RuntimeError, match="quadrature failed near 1"):
-                _weight_integrals.__wrapped__(2.5, 0.6)
-            monkeypatch.setattr(
-                scipy.integrate, "quad",
-                lambda *a, out=out, weight=None, **k: (0.5, 0.0, {}) if weight else out,
-            )
             with pytest.raises(RuntimeError, match="quadrature failed near 0"):
                 _weight_integrals.__wrapped__(2.5, 0.1)
 

@@ -300,6 +300,31 @@ def test_no_unused_imports():
         assert bound - loaded == set(), path.name
 
 
+def test_no_approx_pin_below_its_default_abs():
+    # pytest.approx adds abs=1e-12 unless told otherwise, so a pinned literal
+    # x with 0 < |x| < 1e-12 and no abs= accepts any value that small, 0.0
+    # included
+    def vacuous(source):
+        lines = []
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "approx" and node.args):
+                continue
+            try:
+                x = ast.literal_eval(node.args[0])
+            except ValueError:
+                continue
+            keywords = {k.arg for k in node.keywords}
+            if isinstance(x, (int, float)) and 0 < abs(x) < 1e-12 and "abs" not in keywords:
+                lines.append(node.lineno)
+        return lines
+
+    assert vacuous("a == pytest.approx(1.26e-304, rel=1e-6)\nb == pytest.approx(-1e-13)") == [1, 2]
+    assert vacuous("a == pytest.approx(1.26e-304, abs=0.0)\nb == pytest.approx(1e-3)") == []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        assert vacuous(path.read_text()) == [], path.name
+
+
 def test_chain_array_read_only_through_counts():
     # the chain's array is its count matrix; the FeatureArray view W stays
     # for the benchmark, which reads it, and no top-level definition in the
