@@ -242,9 +242,18 @@ def _load_counts(path):
             if any(v is True or v is False for v in row):
                 raise ValueError(f"{path}: counts must be integers, not true or false")
         return y
-    rows = [
-        [int(tok) for tok in ln.split()] for ln in text.splitlines() if ln.strip()
-    ]
+    try:
+        rows = [
+            [int(tok) for tok in ln.split()] for ln in text.splitlines() if ln.strip()
+        ]
+    except ValueError:
+        # int() names the bad token but not its row, which the JSON branch names
+        for k, ln in enumerate(ln for ln in text.splitlines() if ln.strip()):
+            for tok in ln.split():
+                try:
+                    int(tok)
+                except ValueError:
+                    raise ValueError(f"{path}: row {k}: {tok!r} is not an integer count") from None
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError(f"{path}: not a rectangular count matrix")
     return rows

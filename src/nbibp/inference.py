@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .distributions import _nb_draw, _nb_fill
+from .distributions import RATE_CAP, _nb_draw, _nb_fill
 from .generative import _new_dishes, nbibp_simulate
 from .numerics import harmonic_gap
 from .structures import FeatureArray, Hyperparams, _log_pmf_of
@@ -528,12 +528,16 @@ def update_theta(state, model):
 
 def update_mass_T(state):
     """Exact gamma draw of the base mass: T | W ~ Gamma(alpha + kappa, beta +
-    c [psi(c + n r) - psi(c)])."""
+    c xi), xi = psi(c + n r) - psi(c).  A T whose expected feature count T c
+    xi reaches RATE_CAP is refused: the births' Poisson rate would pass it."""
     alpha, beta = state.t_prior
     hp = state.hp
     n, kappa = state.counts.shape
-    rate = beta + hp.c * harmonic_gap(n * hp.r, hp.c)
-    new_t = float(_gamma_factors(state.rng, alpha + kappa, rate))
+    gap = hp.c * harmonic_gap(n * hp.r, hp.c)
+    new_t = float(_gamma_factors(state.rng, alpha + kappa, beta + gap))
+    if not new_t * gap < RATE_CAP:
+        raise ValueError(f"the mass draw T = {new_t:.3g} expects {new_t * gap:.3g} features, "
+                         f"past the limit {RATE_CAP:g}")
     state.hp = Hyperparams(hp.r, hp.c, new_t)
     return state
 

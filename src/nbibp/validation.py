@@ -483,12 +483,12 @@ def suite_t_update(seed=0):
     integrates to the normalizer of Gamma(alpha + kappa, beta + c xi_n)
     relative to its value at T = 1, and update_mass_T draws exactly from that
     law on its stream."""
-    from scipy.integrate import quad  # imported on use, as in distributions._quad_piece
+    from scipy.integrate import quad  # imported on use, as in the total-mass oracles
 
     def log_gamma(t, shape, rate):
         return shape * math.log(rate) - gammaln(shape) + (shape - 1.0) * math.log(t) - rate * t
 
-    worst, exact = 0.0, True
+    worst, abserr, exact = 0.0, 0.0, True
     for k, (r, c, n, kappa, alpha, beta) in enumerate([
         (1.0, 1.0, 3, 2, 1.0, 1.0),
         (2.0, 0.5, 2, 0, 2.0, 3.0),
@@ -498,7 +498,7 @@ def suite_t_update(seed=0):
     ]):
         W = FeatureArray(n, tuple(tuple(1 + (i + j) % 3 for i in range(n)) for j in range(kappa)))
         lp1 = log_pmf_array(W, Hyperparams(r, c, 1.0))
-        val, _ = quad(
+        out = quad(
             lambda t: math.exp(
                 log_gamma(t, alpha, beta) + log_pmf_array(W, Hyperparams(r, c, t)) - lp1
             ),
@@ -506,7 +506,9 @@ def suite_t_update(seed=0):
             np.inf,
             epsabs=1e-13,
             epsrel=1e-12,
+            full_output=1,
         )
+        val, abserr = out[0], max(abserr, out[1])
         shape, rate = alpha + kappa, beta + c * harmonic_gap(n * r, c)
         want = math.exp(log_gamma(1.0, alpha, beta) - log_gamma(1.0, shape, rate))
         worst = max(worst, abs(val / want - 1.0))
@@ -514,7 +516,8 @@ def suite_t_update(seed=0):
                            RngStream(seed, k))
         twin = RngStream(seed, k)
         exact = exact and update_mass_T(state).hp.T == twin.gamma(shape, 1.0 / rate)
-    return worst <= 1e-8 and exact, {"max_norm_err": worst, "draws_exact": exact}
+    metrics = {"max_norm_err": worst, "max_quad_abserr": abserr, "draws_exact": exact}
+    return worst <= 1e-8 and exact, metrics
 
 
 def run_suites(names=None, seed=None):

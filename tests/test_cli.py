@@ -386,6 +386,15 @@ class TestErrorBoundary:
             lines = captured.err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("nbibp: error: "), (argv, lines)
 
+    @pytest.mark.parametrize("seed", ["1", "2", "3", "4"])
+    def test_huge_mass_prior_refused_after_its_draw(self, capsys, seed):
+        # Gamma(1e300 + kappa, ...) puts T near 3.5e299, and the next sweep's
+        # birth rate was past numpy's Poisson sampler ("lam value too large")
+        code = cli.main(["infer", "--synthetic", "--t-alpha", "1e300", "--seed", seed])
+        [line] = capsys.readouterr().err.splitlines()
+        assert code == 2 and line.startswith("nbibp: error: the mass draw T = "), line
+        assert line.endswith(" features, past the limit 1e+18") and "lam value" not in line
+
     def test_cold_starts_run_to_the_end(self, capsys):
         # a cold start can leave a counted row without features, a state the
         # data rule out; the chain must move on from it, not stop
@@ -492,12 +501,17 @@ class TestErrorBoundary:
              "not a rectangular count matrix: row 2 has 2 counts, row 0 has 1"),
             ("[[1, 2], 3]", "row 1 is not a list of counts"),
             ("[[1, 2], [3, [4]]]", "row 1 is not a list of counts"),
+            # the whitespace reader printed int()'s "invalid literal for int()
+            # with base 10: 'x'", without the file or the row
+            ("1 x\n2 3\n", "row 0: 'x' is not an integer count"),
+            ("1 2\n\n2 1.0\n", "row 1: '1.0' is not an integer count"),
         ],
-        ids=["short-row", "long-row", "number-row", "nested-entry"],
+        ids=["short-row", "long-row", "number-row", "nested-entry", "word", "decimal"],
     )
     def test_json_counts_must_be_rectangular(self, tmp_path, capsys, text, message):
         # the JSON branch checks the shape the whitespace branch checks,
-        # before numpy would report a sequence in an array element
+        # before numpy would report a sequence in an array element, and both
+        # name the row of a bad count
         path = tmp_path / "y.json"
         path.write_text(text)
         code = cli.main(["infer", "--in", str(path), "--sweeps", "2", "--seed", "1"])

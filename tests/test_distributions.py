@@ -4,7 +4,7 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbibp.distributions import (
@@ -105,9 +105,8 @@ class TestNormalization:
                     mass = bnb_total_mass(BnbParams(r, alpha, beta))
                     assert abs(mass - 1.0) < 1e-10, (r, alpha, beta, mass)
 
-    # points where the tail integral in x failed to converge; in s = -log(1-x)
-    # the (1-x)^{beta-1} weight and the log singularity of the remainder
-    # become a smooth, decaying integrand
+    # slow tails, where much of the mass lies past the head: a tail integral
+    # in x once failed to converge at these points
     @pytest.mark.parametrize("r", (0.3, 0.5, 1.0, 2.0))
     @pytest.mark.parametrize("theta", (0.05, 0.1, 0.2, 0.3, 0.5, 1.0))
     def test_digamma_heavy_tail(self, r, theta):
@@ -117,11 +116,28 @@ class TestNormalization:
     def test_bnb_heavy_tail(self, beta):
         assert abs(bnb_total_mass(BnbParams(0.3, 1.0, beta)) - 1.0) < 1e-10
 
+    # QAWS reports roundoff at the examples, and at r = alpha = beta = 10 its
+    # estimate read 5e-8 while its moments carried the whole exponents
     @given(*[st.floats(min_value=0.05, max_value=10.0)] * 4)
+    @example(10.0, 10.0, 0.05, 0.2)
+    @example(0.05, 10.0, 7.0, 0.1)
+    @example(10.0, 10.0, 10.0, 10.0)
     @settings(max_examples=40, deadline=None)
     def test_total_masses_are_one(self, r, theta, alpha, beta):
         assert abs(digamma_total_mass(DigammaParams(r, theta)) - 1.0) < 1e-10
         assert abs(bnb_total_mass(BnbParams(r, alpha, beta)) - 1.0) < 1e-10
+
+    def test_failed_quadrature_refused(self, monkeypatch):
+        # a NaN error estimate, one past the 1e-9 gate and a NaN value are
+        # each refused
+        import scipy.integrate
+
+        for out in ((0.5, math.nan, {}), (0.5, 1e-6, {}), (math.nan, 0.0, {})):
+            monkeypatch.setattr(scipy.integrate, "quad", lambda *a, out=out, **k: out)
+            with pytest.raises(RuntimeError, match="converge for the tail of DigammaParams"):
+                digamma_total_mass(DigammaParams(1.0, 1.0))
+            with pytest.raises(RuntimeError, match="converge for the tail of BnbParams"):
+                bnb_total_mass(BnbParams(1.0, 1.0, 1.0))
 
 
 class TestPmfRecurrences:

@@ -325,6 +325,26 @@ def test_no_approx_pin_below_its_default_abs():
         assert vacuous(path.read_text()) == [], path.name
 
 
+def test_every_quad_passes_full_output():
+    # with full_output=1 QUADPACK reports roundoff or a subdivision limit in
+    # its return value; without it, an IntegrationWarning would reach a CLI
+    # user's stderr as a second line.  Each caller gates the error estimate.
+    def bare(source):
+        return [
+            node.lineno
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "quad"
+            and not any(k.arg == "full_output" and getattr(k.value, "value", None) == 1
+                        for k in node.keywords)
+        ]
+
+    assert bare("quad(f, 0, 1)\nintegrate.quad(f, 0, 1, full_output=0)") == [1, 2]
+    assert bare("quad(f, 0, 1, full_output=1)\nquadrature(f, 0, 1)") == []
+    for path in sorted((ROOT / "src" / "nbibp").glob("*.py")):
+        assert bare(path.read_text()) == [], path.name
+
+
 def test_chain_array_read_only_through_counts():
     # the chain's array is its count matrix; the FeatureArray view W stays
     # for the benchmark, which reads it, and no top-level definition in the
