@@ -232,26 +232,37 @@ def digamma_sample(params, rng):
 _HEAD_TERMS = 128
 
 
-def _incomplete_beta_integral(alpha, beta, a, b, scale, params):
-    """scale * int_0^1 u^alpha (1-u)^beta I_u(a, b) / u^a du, alpha, beta > -1.
+def _incomplete_beta_integral(alpha, beta, a, b, log_scale, params):
+    """exp(log_scale) * int_0^1 u^alpha (1-u)^beta I_u(a, b) / u^a du, alpha, beta > -1.
 
     I_u(a, b) / u^a is smooth on [0, 1], so QUADPACK's algebraic-weight rule
     (QAWS) takes the endpoint powers exactly.  Its Chebyshev moments lose
     digits at large exponents (at BnbParams(10, 10, 10) the error estimate
     read 5e-8 on an exact value), so the weight keeps each
-    exponent's fractional part and the integrand the integer parts.  QAWS
-    evaluates u = 0, where the ratio is 0/0, so its limit 1/(a B(a, b)) is
-    passed.  The gate, in units of mass, catches non-convergence; the
-    normalization tests pin the accuracy, orders below the estimate.
+    exponent's fractional part and the integrand the integer parts.  The
+    integrand is summed in logs, so neither the scale nor the ratio is
+    formed alone: both can pass the double range while the powers underflow
+    (BnbParams(1, 1000, 1000) has scale 1/B(1000, 1000)).  Where I_u(a, b)
+    underflows u is small, and the ratio's leading form (1-u)^b / (a B(a, b))
+    stands in; its limit at u = 0 is exact, and QAWS evaluates both ends.
+    The gate, in units of mass, catches non-convergence; the normalization
+    tests pin the accuracy, orders below the estimate.
     """
     from scipy.integrate import quad  # imported on use: only the total-mass oracles integrate
 
     ka, kb = math.floor(max(alpha, 0.0)), math.floor(max(beta, 0.0))
-    at_zero = scale * math.exp(-math.log(a) - betaln(a, b))
+    log_limit = -math.log(a) - betaln(a, b)
 
     def f(u):
-        ua = u**a
-        return u**ka * (1.0 - u) ** kb * (scale * betainc(a, b, u) / ua if ua > 0.0 else at_zero)
+        # at an end a positive whole power is 0, and the ratio is 1/(a B(a, b)) at 0 and 1 at 1
+        if u <= 0.0:
+            return 0.0 if ka else math.exp(log_scale + log_limit)
+        if u >= 1.0:
+            return 0.0 if kb else math.exp(log_scale)
+        log_u, log_v = math.log(u), math.log1p(-u)
+        i_u = betainc(a, b, u)
+        log_ratio = math.log(i_u) - a * log_u if i_u > 0.0 else b * log_v + log_limit
+        return math.exp(ka * log_u + kb * log_v + log_scale + log_ratio)
 
     out = quad(f, 0.0, 1.0, weight="alg", wvar=(alpha - ka, beta - kb),
                epsabs=1e-14, epsrel=1e-12, full_output=1)
@@ -268,7 +279,7 @@ def digamma_total_mass(params):
     r, theta = params.r, params.theta
     head = math.fsum(math.exp(digamma_log_pmf(params, z)) for z in range(1, _HEAD_TERMS + 1))
     return head + _incomplete_beta_integral(
-        theta - 1.0, _HEAD_TERMS, theta, r, 1.0 / harmonic_gap(r, theta), params
+        theta - 1.0, _HEAD_TERMS, theta, r, -math.log(harmonic_gap(r, theta)), params
     )
 
 
@@ -278,5 +289,5 @@ def bnb_total_mass(params):
     r, a, b = params.r, params.alpha, params.beta
     head = math.fsum(math.exp(bnb_log_pmf(params, z)) for z in range(_HEAD_TERMS + 1))
     return head + 1.0 - _incomplete_beta_integral(
-        b - 1.0 + r, a - 1.0, r, _HEAD_TERMS + 1.0, math.exp(-betaln(b, a)), params
+        b - 1.0 + r, a - 1.0, r, _HEAD_TERMS + 1.0, -betaln(b, a), params
     )

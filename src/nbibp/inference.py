@@ -11,7 +11,8 @@ proposal (so prior terms cancel and only the likelihood ratio remains), a
 per-row birth/death move for that row's singleton features, a conjugate
 Theta draw via multinomial allocation, an exact gamma draw for T, and slice
 updates for c and r on the array's sufficient statistics, built once per
-update.  Rejected proposals leave everything but the stream position untouched.
+count matrix.  Rejected proposals leave everything but the stream position
+untouched.
 
 A state the data rule out (a positive count on a zero rate) has log-likelihood
 -inf, which xlogy(y, rate) gives with no special case.  The MH moves accept
@@ -20,9 +21,11 @@ so a chain started there moves on instead of failing.
 
 The chain holds W as one read-only int64 n-by-kappa count matrix,
 ChainState.counts; a sweep replaces it rather than changing it in place.
-Every reader in this module goes through the counts: the kernels, log_joint
-(whose array term takes the c/r moves' route, _log_pmf_of on the columns),
+Every reader in this module goes through the counts: the kernels, log_joint,
 chain_record, and run_chain, which starts from a snapshot of its init.
+The array p.m.f. of the counts is one evaluator, ChainState.log_pmf, built
+on first use after each replacement: the c/r moves score through it, and
+log_joint then reads the value of their accepted point from it.
 ChainState.W, the FeatureArray built from the counts on first read and kept
 until the next replacement, is built only for a caller that reads it; no
 code here does.  The entry and singleton passes run on a writable copy
@@ -150,7 +153,8 @@ class ChainState:
     It is built from a FeatureArray W whose column sums are below 2**63.
     counts, the n-by-kappa int64 matrix of W, is read-only, and a sweep that
     moves W assigns a new one.  W is the FeatureArray of counts, built on its
-    first read after each assignment.
+    first read after each assignment, and log_pmf its array p.m.f. evaluator,
+    built on first use.
     The state also keeps update_theta's weight workspace, which no snapshot
     shares.
     """
@@ -179,7 +183,7 @@ class ChainState:
     @counts.setter
     def counts(self, M):
         M.flags.writeable = False
-        self._counts, self._W = M, None
+        self._counts, self._W, self._log_pmf = M, None, None
 
     @property
     def W(self):
@@ -188,10 +192,21 @@ class ChainState:
             self._W = FeatureArray._unchecked(M.shape[0], tuple(map(tuple, M.T.tolist())))
         return self._W
 
+    @property
+    def log_pmf(self):
+        """(r, c, T) -> the array log p.m.f. of counts, built through
+        _log_pmf_of on first use after each assignment and shared by the c/r
+        moves and log_joint.  It keeps its last point's value, so log_joint
+        after update_c_r reads the accepted point's value with no new work."""
+        if self._log_pmf is None:
+            M = self._counts
+            self._log_pmf = _log_pmf_of(M.shape[0], ((col, 1) for col in M.T.tolist()))
+        return self._log_pmf
+
     def snapshot(self):
         """A copy that later moves of this state leave alone: it shares the
-        read-only counts, and their FeatureArray once that has been read, and
-        owns a copy of Theta and an empty workspace."""
+        read-only counts, and their FeatureArray and evaluator once built,
+        and owns a copy of Theta and an empty workspace."""
         twin = copy.copy(self)
         twin.Theta, twin._weights = self.Theta.copy(), np.empty(0)
         return twin
@@ -257,12 +272,12 @@ def _check_fit(state, model):
 
 def log_joint(state, model):
     """log p(y, W, Theta | T, c, r), read from the count matrix: its array
-    p.m.f. through the route update_c_r takes, the factor prior and the
-    likelihood.  -inf when the data is impossible, and ValueError for a
+    p.m.f. through the evaluator update_c_r scores with, the factor prior and
+    the likelihood.  -inf when the data is impossible, and ValueError for a
     state that does not fit the model."""
     _check_fit(state, model)
-    counts, hp = state.counts, state.hp
-    lp = _log_pmf_of(counts.shape[0], ((col, 1) for col in counts.T.tolist()))(hp.r, hp.c, hp.T)
+    hp = state.hp
+    lp = state.log_pmf(hp.r, hp.c, hp.T)
     th, a, b = state.Theta, model.a_theta, model.b_theta
     lp += float(
         np.sum((a - 1.0) * np.log(th) - b * th) + th.size * (a * math.log(b) - gammaln(a))
@@ -577,13 +592,12 @@ def _slice_update(x0, log_target, rng):
 
 def update_c_r(state, c_prior=HyperPrior(), r_prior=HyperPrior()):
     """Slice updates (unit width) of c then r against the array p.m.f. plus
-    the prior.
+    the prior, through the state's evaluator, state.log_pmf.
 
     A prior of None pins its parameter and skips the move.
     """
     r, c, T = state.hp.r, state.hp.c, state.hp.T
-    counts = state.counts
-    log_pmf = _log_pmf_of(counts.shape[0], ((col, 1) for col in counts.T.tolist()))
+    log_pmf = state.log_pmf
     if c_prior is not None:
         c = _slice_update(c, lambda x: c_prior.log_density(x) + log_pmf(r, x, T), state.rng)
     if r_prior is not None:

@@ -196,6 +196,11 @@ def _log_pmf_of(n, pairs):
     sum s, and each nonzero entry w adds log (r)_w / w!, in the log-beta
     form the NB and BNB laws share.  The feature count kappa, the sum of the
     multiplicities, is Poisson with rate c T harmonic_gap(n r, c).
+
+    The evaluator keeps the entry term of the last r it saw, so a run of
+    calls at one r (a slice move in c) computes it once, and the last
+    (r, c, T) with its value, so a repeat of the last point does no work.
+    Both are the values a fresh evaluator returns, bit for bit.
     """
     sums, mults, hist = [], [], Counter()
     for col, m in pairs:
@@ -208,14 +213,21 @@ def _log_pmf_of(n, pairs):
                 hist[w] += m
     kappa, sums, mults = sum(mults), np.array(sums), np.array(mults, dtype=np.float64)
     values, counts = np.array(sorted(hist.items()), dtype=np.float64).reshape(-1, 2).T
+    entry_r = entry = point = value = None
 
     def log_pmf(r, c, T):
+        nonlocal entry_r, entry, point, value
+        if point == (r, c, T):
+            return value
         cnr = c + n * r
         rate = c * T * harmonic_gap(n * r, c)
+        if entry_r != r:
+            entry_r, entry = r, float(counts @ _log_rising_over_factorial(r, values))
         # log c + log T, since c T can underflow to 0.0 where neither factor does
         out = kappa * (math.log(c) + math.log(T)) - math.lgamma(kappa + 1) - rate
-        out += float(np.sum(mults * betaln(sums, cnr)))
-        return out + float(counts @ _log_rising_over_factorial(r, values))
+        out += float(np.add.reduce(mults * betaln(sums, cnr)))
+        point, value = (r, c, T), out + entry
+        return value
 
     return log_pmf
 

@@ -127,6 +127,13 @@ class TestNormalization:
         assert abs(digamma_total_mass(DigammaParams(r, theta)) - 1.0) < 1e-10
         assert abs(bnb_total_mass(BnbParams(r, alpha, beta)) - 1.0) < 1e-10
 
+    def test_large_shapes_stay_in_range(self):
+        # the BNB's scale 1/B(1000, 1000) and the digamma ratio's limit at
+        # u = 0, 1/(theta B(theta, r)), pass the double range while the
+        # powers they multiply underflow; both once raised OverflowError
+        assert abs(bnb_total_mass(BnbParams(1.0, 1000.0, 1000.0)) - 1.0) < 1e-10
+        assert abs(digamma_total_mass(DigammaParams(1000.0, 1000.0)) - 1.0) < 1e-10
+
     def test_failed_quadrature_refused(self, monkeypatch):
         # a NaN error estimate, one past the 1e-9 gate and a NaN value are
         # each refused

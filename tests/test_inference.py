@@ -11,6 +11,7 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import lognorm, poisson
 
 import nbibp.inference as inference
+import nbibp.structures as structures
 from nbibp.distributions import (
     BnbParams,
     DigammaParams,
@@ -1192,6 +1193,35 @@ class TestSweepStructure:
         assert builds["array"] == 4
         for snap, W in zip(emitted[1:], swept):
             assert W == FeatureArray.from_matrix(snap.counts)
+
+    def test_one_array_pmf_evaluator_per_count_matrix(self, monkeypatch):
+        # the c/r moves build the evaluator of the counts a sweep leaves, and
+        # the record of the emitted state reads the r move's accepted point
+        # from it; so S sweeps build S + 1 evaluators, not one per move and
+        # one per record (2 S + 1), and only the init's record evaluates.
+        # Each evaluation calls harmonic_gap once
+        init, model = planted_state(20, 8, 5, 136)
+        sweeps, calls = 6, Counter()
+        build, gap = inference._log_pmf_of, structures.harmonic_gap
+
+        def counted_build(n, pairs):
+            calls["build"] += 1
+            return build(n, pairs)
+
+        def counted_gap(x, c):
+            calls["eval"] += 1
+            return gap(x, c)
+
+        monkeypatch.setattr(inference, "_log_pmf_of", counted_build)
+        monkeypatch.setattr(structures, "harmonic_gap", counted_gap)
+        record_evals = []
+        for k, state in enumerate(run_chain(model, init, sweeps, init.rng)):
+            before = calls["eval"]
+            assert chain_record(state, k, model)["log_joint"] is not None
+            record_evals.append(calls["eval"] - before)
+        assert calls["build"] == sweeps + 1
+        assert record_evals == [1] + [0] * sweeps
+        assert calls["eval"] > 2 * sweeps  # the c and r moves did run
 
 
 class TestMassKernel:

@@ -345,6 +345,36 @@ def test_every_quad_passes_full_output():
         assert bare(path.read_text()) == [], path.name
 
 
+def test_array_pmf_built_only_by_its_owners():
+    # the chain keeps one array p.m.f. evaluator per count matrix, which
+    # ChainState.log_pmf builds; any other caller of _log_pmf_of would score
+    # the chain on statistics of its own.  Callers are named by their
+    # enclosing definitions
+    def callers(source):
+        out = []
+
+        def walk(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    walk(child, scope + (child.name,))
+                    continue
+                func = getattr(child, "func", None)
+                if getattr(func, "id", getattr(func, "attr", None)) == "_log_pmf_of":
+                    out.append(".".join(scope))
+                walk(child, scope)
+
+        walk(ast.parse(source), ())
+        return out
+
+    probe = "def f():\n    return _log_pmf_of(1, [])\nclass S:\n    def g(self):\n"
+    probe += "        return structures._log_pmf_of(1, [])(1.0, 1.0, 1.0)\n"
+    assert callers(probe) == ["f", "S.g"]
+    found = []
+    for path in sorted((ROOT / "src" / "nbibp").glob("*.py")):
+        found += callers(path.read_text())
+    assert sorted(found) == ["ChainState.log_pmf", "log_pmf_array", "log_pmf_struct"]
+
+
 def test_chain_array_read_only_through_counts():
     # the chain's array is its count matrix; the FeatureArray view W stays
     # for the benchmark, which reads it, and no top-level definition in the

@@ -20,6 +20,7 @@ from nbibp.structures import (
     CombStruct,
     FeatureArray,
     Hyperparams,
+    _log_pmf_of,
     array_from_json,
     array_to_json,
     from_array,
@@ -256,6 +257,36 @@ class TestPmfInvariances:
         assert log_pmf_struct(from_array(arr), hp) == pytest.approx(
             want + ordering_count(from_array(arr)), rel=1e-12
         )
+
+
+# a run of evaluator calls as a slice move makes them: T and one of r, c
+# are held while the other moves, and the run may end by repeating its last
+# point, as log_joint does after update_c_r
+positive = st.floats(min_value=0.05, max_value=10.0)
+slice_runs = st.lists(
+    st.tuples(
+        st.booleans(), positive, st.lists(positive, min_size=1, max_size=4), positive, st.booleans()
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestPmfEvaluatorCache:
+    @given(arrays, slice_runs, st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_shared_evaluator_matches_fresh_ones(self, arr, runs, collapsed):
+        # the kept entry term (per r) and the kept last value (per point)
+        # return exactly what an evaluator built for the one call does
+        if collapsed:  # the structure's (history, multiplicity) pairs
+            pairs = list(from_array(arr).counts.items())
+        else:
+            pairs = [(col, 1) for col in arr.columns]
+        shared = _log_pmf_of(arr.n, pairs)
+        for moves_c, held, moving, T, repeat in runs:
+            points = [(held, x, T) if moves_c else (x, held, T) for x in moving]
+            for point in points + points[-1:] * repeat:
+                assert shared(*point) == _log_pmf_of(arr.n, pairs)(*point), point
 
 
 class TestEnumerationOracles:
