@@ -5,7 +5,9 @@ Subcommands:
 * simulate: replicate draws of feature arrays (sequential buffet by default,
   the truncated weight-measure oracle with --construction truncated, or the
   one-shot mass construction with --construction finitary), one JSON record
-  per line plus a trailing summary record.
+  per line plus a trailing summary record.  A buffet replicate is written,
+  and its summary statistics taken, straight from the buffet's list columns,
+  with no FeatureArray built.
 * pmf: log p.m.f. of serialized arrays or structures read from --in.
 * sample: i.i.d. draws from the digamma, beta negative binomial, or negative
   binomial count distributions, one integer per line plus a summary.
@@ -49,9 +51,9 @@ from .distributions import (
     nb_sample,
 )
 from .generative import (
+    _buffet_columns,
     _weight_integrals,
     bnbp_sample_finitary,
-    nbibp_simulate,
     truncated_oracle_simulate,
 )
 from .inference import (
@@ -66,6 +68,7 @@ from .inference import (
 from .numerics import RngStream, harmonic_gap
 from .structures import (
     Hyperparams,
+    _columns_to_json,
     array_from_json,
     array_to_json,
     log_pmf_array,
@@ -82,6 +85,11 @@ __all__ = ["main"]
 # at most; a million takes seconds to open, and rates from about 9e18 on are
 # past numpy's Poisson sampler.
 FEATURE_CAP = 1e6
+
+
+# JSON's name for each value json.loads returns other than an object
+_JSON_TYPES = {list: "an array", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
 
 
 def _dump(obj):
@@ -145,20 +153,22 @@ def cmd_simulate(args):
         for k in range(args.reps):
             rng.rekey(args.seed, k)
             if args.construction == "sequential":
-                arr = nbibp_simulate(args.n, hp, rng)
+                n, columns = args.n, _buffet_columns(args.n, hp, rng)
+                print(_columns_to_json(n, columns), file=out)
             elif args.construction == "truncated":
                 arr = truncated_oracle_simulate(args.n, hp, args.epsilon, rng)
+                n, columns = arr.n, arr.columns
+                print(array_to_json(arr), file=out)
             else:
                 fixed, diffuse = bnbp_sample_finitary(hp, rng)
                 print(_dump({"kind": "masses", "fixed": fixed, "diffuse": diffuse}), file=out)
                 kappas.append(len(diffuse))
                 continue
-            print(array_to_json(arr), file=out)
-            kappas.append(arr.kappa)
-            positive = [w for col in arr.columns for w in col if w > 0]
-            row_feats.append(len(positive) / arr.n)
-            pos_entries += len(positive)
-            pos_total += sum(positive)
+            kappas.append(len(columns))
+            positive = sum([n - col.count(0) for col in columns])
+            row_feats.append(positive / n)
+            pos_entries += positive
+            pos_total += sum(map(sum, columns))
         summary = {
             "kind": "summary",
             "reps": args.reps,
@@ -178,7 +188,11 @@ def cmd_pmf(args):
     with _open_out(args.out) as out:
         for idx, ln in enumerate(lines):
             try:
-                kind = json.loads(ln).get("kind")
+                doc = json.loads(ln)
+                if not isinstance(doc, dict):
+                    raise ValueError('expected a JSON object with a "kind" key, '
+                                     f"got {_JSON_TYPES[type(doc)]}")
+                kind = doc.get("kind")
                 if kind == "array":
                     val = log_pmf_array(array_from_json(ln), hp)
                 elif kind == "struct":

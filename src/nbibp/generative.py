@@ -6,15 +6,19 @@ Three routes produce draws from the same law:
   existing dish k with a BNB(r, S_k, c + m r) count (S_k = servings so far)
   and opens Poisson(c T [psi(c + (m+1) r) - psi(c + m r)]) new dishes, each
   with a digamma(r, c + m r) count.  predictive_step draws that row and
-  appends it in place to list columns with running column sums;
-  nbibp_simulate runs it n times from no columns and wraps the columns in
-  one FeatureArray at the end, unchecked since it drew them, so the
+  appends it in place to list columns with running column sums.  One
+  list-column loop, _buffet_columns, runs it n times from no columns;
+  nbibp_simulate wraps its columns in one FeatureArray, unchecked since it
+  drew them, and `nbibp simulate` serializes them as they are, so the
   predictive and the prior share one code path.
 * bnbp_sample_finitary: the one-shot finite construction of the process
   masses themselves, Poisson-many atoms with digamma counts plus BNB counts
   at fixed atoms of the base, which no other route or module takes.
   _new_dishes, the one new-dish draw, gives its atoms (at m = 0), each
-  buffet row's new dishes and the MCMC singleton births.
+  buffet row's new dishes and the MCMC singleton births.  Its law depends
+  only on (r, c, T, m), the key of _dish_law's bounded cache: a buffet
+  replicate reuses the laws of the one before it, and a chain's births,
+  whose T moves every sweep, compute one law per sweep.
 * truncated_oracle_simulate: a deliberately independent hierarchical oracle
   that first realizes the underlying weight measure down to weights > epsilon
   and then draws NB counts per atom.  It reaches the counts through the
@@ -48,15 +52,26 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=1024)
+def _dish_law(r, c, T, m):
+    """(rate, law) of the new dishes of the customer after m others: the
+    Poisson rate c T [psi(c + (m+1) r) - psi(c + m r)] of their number and
+    the digamma(r, c + m r) law of each count.  (r, c, T) come from a checked
+    Hyperparams, so the digamma params skip their check.  Keyed on the
+    numbers, not the Hyperparams: a float key hashes and compares in C, and
+    equal Hyperparams built by different calls share their entries."""
+    tail = c + m * r
+    return c * T * harmonic_gap(r, tail), DigammaParams._unchecked(r, tail)
+
+
 def _new_dishes(hp, m, rng):
     """Counts of the new dishes of the customer after m others, in draw order:
-    Poisson(c T [psi(c + (m+1) r) - psi(c + m r)])-many digamma(r, c + m r).
-    hp was checked where it entered, so the digamma params skip their check."""
-    tail = hp.c + m * hp.r
-    fresh = rng.poisson(hp.c * hp.T * harmonic_gap(hp.r, tail))
+    Poisson(c T [psi(c + (m+1) r) - psi(c + m r)])-many digamma(r, c + m r),
+    their law taken from _dish_law's cache, which holds it per (r, c, T, m)."""
+    rate, mass_law = _dish_law(hp.r, hp.c, hp.T, m)
+    fresh = rng.poisson(rate)
     if not fresh:
         return []
-    mass_law = DigammaParams._unchecked(hp.r, tail)
     return [digamma_sample_rounds(mass_law, rng)[0] for _ in range(fresh)]
 
 
@@ -79,14 +94,20 @@ def predictive_step(columns, sums, m, hp, rng):
         sums.append(z)
 
 
+def _buffet_columns(n, hp, rng):
+    """The list columns of n >= 1 buffet rows, in creation order."""
+    columns, sums = [], []
+    for m in range(n):
+        predictive_step(columns, sums, m, hp, rng)
+    return columns
+
+
 def nbibp_simulate(n, hp, rng):
     """n rows of the buffet construction, columns in creation order."""
     if n != int(n) or n < 1:
         raise ValueError(f"nbibp_simulate needs integer n >= 1, got {n!r}")
-    columns, sums = [], []
-    for m in range(int(n)):
-        predictive_step(columns, sums, m, hp, rng)
-    return FeatureArray._unchecked(int(n), tuple(map(tuple, columns)))
+    n = int(n)
+    return FeatureArray._unchecked(n, tuple(map(tuple, _buffet_columns(n, hp, rng))))
 
 
 def bnbp_sample_finitary(hp, rng, fixed_atoms=()):

@@ -252,14 +252,20 @@ def log_pmf_array(arr, hp):
 # serialization
 
 
-def array_to_json(arr):
-    """The compact, sorted-key JSON record of arr, written directly.
+def _columns_to_json(n, columns):
+    """The compact, sorted-key JSON record of the n-row array with these
+    columns (tuples or lists), written directly.
 
     Entries and n are Python ints, whose str is their JSON text, so this is
     byte-for-byte json.dumps(..., sort_keys=True, separators=(",", ":")).
     """
-    cols = ",".join([f"[{','.join(map(str, col))}]" for col in arr.columns])
-    return f'{{"columns":[{cols}],"kind":"array","n":{arr.n}}}'
+    cols = ",".join([f"[{','.join(map(str, col))}]" for col in columns])
+    return f'{{"columns":[{cols}],"kind":"array","n":{n}}}'
+
+
+def array_to_json(arr):
+    """The compact, sorted-key JSON record of arr."""
+    return _columns_to_json(arr.n, arr.columns)
 
 
 def array_from_json(text):

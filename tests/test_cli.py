@@ -131,6 +131,23 @@ class TestPmf:
         assert code == 1
         assert len(captured.out.splitlines()) == 1  # good record still evaluated
 
+    def test_record_that_is_not_an_object_is_named(self, tmp_path, capsys):
+        # a record must be a JSON object; any other JSON value is named in
+        # one line, and the records around it are still scored
+        path = tmp_path / "values.jsonl"
+        path.write_text('[1,2]\n{"kind":"array","n":1,"columns":[[2]]}\n"array"\n3\nnull\n')
+        code = cli.main(["pmf", "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert [json.loads(ln)["index"] for ln in captured.out.splitlines()] == [1]
+        want = 'expected a JSON object with a "kind" key, got '
+        assert captured.err.splitlines() == [
+            f"record 0: {want}an array",
+            f"record 2: {want}a string",
+            f"record 3: {want}a number",
+            f"record 4: {want}null",
+        ]
+
 
 class TestSample:
     def test_draws_and_summary(self, capsys):
@@ -159,6 +176,42 @@ class TestSample:
     def test_deterministic(self):
         args = ("sample", "--dist", "bnb", "--reps", "8", "--seed", "33")
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+class TestBuffetRoutes:
+    """simulate writes a buffet replicate from its list columns; each record
+    and the summary equal those of the public route, array_to_json over
+    nbibp_simulate, replicate k drawn from RngStream(seed, k)."""
+
+    REPS = 40
+
+    @pytest.mark.parametrize(
+        "n, r, c, T",
+        [(1, 1.0, 1.0, 1.0), (1, 0.4, 2.5, 3.0), (3, 1.0, 1.0, 2.0), (4, 2.5, 0.3, 1.5),
+         (6, 0.7, 4.0, 0.8)],
+    )
+    def test_records_and_summary_match_the_public_route(self, capsys, n, r, c, T):
+        hp = Hyperparams(r, c, T)
+        seed = 11
+        code, lines = run_main(
+            capsys, "simulate", "--construction", "sequential", "--n", str(n),
+            "--r", repr(r), "--c", repr(c), "--mass-T", repr(T),
+            "--reps", str(self.REPS), "--seed", str(seed),
+        )
+        arrays = [nbibp_simulate(n, hp, RngStream(seed, k)) for k in range(self.REPS)]
+        assert code == 0
+        assert lines[:-1] == [array_to_json(arr) for arr in arrays]
+        positive = [[w for col in arr.columns for w in col if w > 0] for arr in arrays]
+        entries = sum(map(len, positive))
+        want = {
+            "kind": "summary",
+            "reps": self.REPS,
+            "mean_kappa": sum(arr.kappa for arr in arrays) / self.REPS,
+            "mean_row_features": sum(len(p) / n for p in positive) / self.REPS,
+            "mean_multiplicity": sum(map(sum, positive)) / entries if entries else None,
+        }
+        assert lines[-1] == json.dumps(want, sort_keys=True, separators=(",", ":"))
+        assert any(arr.kappa for arr in arrays)
 
 
 class TestReplicateFanOut:

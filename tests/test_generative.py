@@ -7,9 +7,17 @@ import pytest
 from scipy.integrate import quad
 
 from nbibp import generative
-from nbibp.distributions import BnbParams, DigammaParams, bnb_log_pmf, digamma_log_pmf
+from nbibp.distributions import (
+    BnbParams,
+    DigammaParams,
+    bnb_log_pmf,
+    digamma_log_pmf,
+    digamma_sample_rounds,
+)
 from nbibp.generative import (
+    _dish_law,
     _draw_weight,
+    _new_dishes,
     _weight_integrals,
     bnbp_sample_finitary,
     nbibp_simulate,
@@ -170,6 +178,64 @@ class TestSharedRowStep:
             folded = FeatureArray(n, tuple(map(tuple, columns)))
             assert nbibp_simulate(n, hp, rng_a) == folded
             assert rng_a.random() == rng_b.random()
+
+
+class TestDishLawCache:
+    """_new_dishes takes its law from _dish_law's bounded cache, which changes
+    no draw: a cold cache, a warm one and the law computed afresh give the
+    same counts.  The hp sequence is shaped like a chain's births: r and c
+    fixed, T moving at every call, each T visited twice."""
+
+    @staticmethod
+    def chain_hps(count):
+        rng = RngStream(41, 0)
+        Ts = [rng.gamma(4.0, 0.25) for _ in range(count)]
+        return [Hyperparams(1.5, 2.0, T) for T in Ts + Ts[::-1]]
+
+    @staticmethod
+    def fresh(hp, m, rng):
+        # the law of the customer after m others, computed for this call
+        tail = hp.c + m * hp.r
+        fresh = rng.poisson(hp.c * hp.T * harmonic_gap(hp.r, tail))
+        law = DigammaParams(hp.r, tail)
+        return [digamma_sample_rounds(law, rng)[0] for _ in range(fresh)]
+
+    def test_cold_and_warm_caches_draw_alike(self):
+        calls = [(hp, m) for hp in self.chain_hps(40) for m in (0, 1, 4)]
+
+        def drawn(clear):
+            out = []
+            for k, (hp, m) in enumerate(calls):
+                if clear:
+                    _dish_law.cache_clear()
+                out.append(_new_dishes(hp, m, RngStream(9, k)))
+            return out
+
+        want = [self.fresh(hp, m, RngStream(9, k)) for k, (hp, m) in enumerate(calls)]
+        assert any(want) and not all(want)
+        assert drawn(clear=True) == want
+        _dish_law.cache_clear()
+        assert drawn(clear=False) == want  # each law computed once, then read
+        info = _dish_law.cache_info()
+        assert (info.misses, info.hits) == (len(calls) // 2, len(calls) // 2)
+        assert drawn(clear=False) == want  # every law read from the cache
+        assert _dish_law.cache_info().hits == info.hits + len(calls)
+
+    def test_cache_is_bounded(self):
+        # a long chain visits a new T every sweep; the cache keeps at most
+        # maxsize laws, the most recent ones
+        maxsize = _dish_law.cache_info().maxsize
+        assert isinstance(maxsize, int)
+        _dish_law.cache_clear()
+        hps = self.chain_hps(maxsize + 20)[: maxsize + 20]
+        assert len(set(hps)) == len(hps)
+        rng = RngStream(10, 0)
+        for hp in hps:
+            _new_dishes(hp, 2, rng)
+        assert _dish_law.cache_info().currsize == maxsize
+        _dish_law(hps[-1].r, hps[-1].c, hps[-1].T, 2)
+        assert _dish_law.cache_info().hits == 1
+        _dish_law.cache_clear()
 
 
 class TestFinitary:

@@ -345,6 +345,49 @@ def test_every_quad_passes_full_output():
         assert bare(path.read_text()) == [], path.name
 
 
+def test_every_cache_is_bounded():
+    # a cache keyed on values a chain moves (T, c, r) gains an entry per
+    # sweep, so each lru_cache passes an integer maxsize, and functools.cache,
+    # which never evicts, keeps only the one value of a function without
+    # parameters
+    def unbounded(source):
+        lines = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                takes = a.posonlyargs or a.args or a.kwonlyargs or a.vararg or a.kwarg
+                for dec in node.decorator_list:
+                    name = getattr(dec, "id", getattr(dec, "attr", None))
+                    if name == "lru_cache":  # bare: the default maxsize, unstated
+                        lines.append(dec.lineno)
+                    elif name == "cache" and takes:
+                        lines.append(dec.lineno)
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                size = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+                if name == "lru_cache" and not (
+                    size and isinstance(size[0], ast.Constant) and type(size[0].value) is int
+                ):
+                    lines.append(node.lineno)
+                elif name == "cache":  # called, not decorating: what it wraps is not seen
+                    lines.append(node.lineno)
+        return sorted(lines)
+
+    probe = [
+        "@lru_cache(maxsize=None)", "def f(x): pass",
+        "@functools.lru_cache", "def g(x): pass",
+        "@functools.cache", "def h(x): pass",
+        "k = lru_cache()(f)",
+        "m = functools.cache(g)",
+        "@lru_cache(maxsize=64)", "def ok(x): pass",
+        "@functools.lru_cache(32)", "def ok2(x): pass",
+        "@functools.cache", "def ok3(): pass",
+    ]
+    assert unbounded("\n".join(probe)) == [1, 3, 5, 7, 8]
+    for path in sorted((ROOT / "src" / "nbibp").glob("*.py")):
+        assert unbounded(path.read_text()) == [], path.name
+
+
 def test_array_pmf_built_only_by_its_owners():
     # the chain keeps one array p.m.f. evaluator per count matrix, which
     # ChainState.log_pmf builds; any other caller of _log_pmf_of would score
